@@ -7,35 +7,36 @@ calls until explicitly cleared, so callers zero grads before each step.
 
 A graph is single-writer: build and differentiate it from one thread.
 Separate graphs share no state, so concurrent read-only inference on
-distinct instances is safe.
+distinct instances is safe. ``no_grad`` holds per thread (and per asyncio
+task): it never turns graph recording off in another.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import numbers
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 
-_GRAD_ENABLED = True
+_grad_enabled = contextvars.ContextVar("csdenoise_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_enabled.reset(token)
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+def _records_graph(parents) -> bool:
+    """Whether an op on ``parents`` records a backward edge."""
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
 class Tensor:
@@ -166,7 +167,7 @@ class Tensor:
 def _result(data: np.ndarray, parents, backward_fn) -> Tensor:
     """Wrap op output, recording the graph edge only when grads can flow."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _records_graph(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

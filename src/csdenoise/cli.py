@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csdn import CsdnConfig
+from .csdn import CsdnConfig, csdn_forward
 from .errors import ConfigError, CsdError
 from .flops import count_flops
 from .gradient_stats import HashConfig, compute_class_map, normalize_stats
@@ -29,7 +29,6 @@ from .pipeline import (
     train_pcn,
     write_report_csv,
 )
-from .csdn import csdn_forward
 
 
 class UsageError(Exception):

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import functional as F
 from .autodiff import Tensor, no_grad
-from .csconv import CsConv2d
+from .csconv import CsConv2d, dispatch_plan
 from .errors import ConfigError, ShapeError
 from .modules import Conv2d, Module, ModuleList, PReLU
 
@@ -34,6 +34,16 @@ class CsdnConfig:
             raise ConfigError("carn needs an even feature count (grouped convs)")
         if self.global_residual not in ("feature", "image"):
             raise ConfigError(f"unknown global_residual {self.global_residual!r}")
+
+
+def _dispatch_plan(cfg: CsdnConfig, x: Tensor, classes):
+    """The one class-sorted plan every CSConv layer of a forward shares."""
+    if not cfg.use_csconv:
+        return None
+    if classes is None:
+        raise ConfigError("this network dispatches on a class map; none given")
+    n, _, h, w = x.shape
+    return dispatch_plan(classes, n, h, w, cfg.num_classes)
 
 
 def _second_conv(cfg: CsdnConfig, rng) -> Module:
@@ -89,8 +99,7 @@ class EdsrNet(Module):
         self.tail = Conv2d(f, 1, 3, rng=rng)
 
     def forward(self, x: Tensor, classes=None) -> Tensor:
-        if self.config.use_csconv and classes is None:
-            raise ConfigError("this network dispatches on a class map; none given")
+        classes = _dispatch_plan(self.config, x, classes)
         y0 = self.head(x)
         y = y0
         for block in self.blocks:
@@ -150,8 +159,7 @@ class CarnNet(Module):
         self.tail = Conv2d(f, 1, 3, rng=rng)
 
     def forward(self, x: Tensor, classes=None) -> Tensor:
-        if self.config.use_csconv and classes is None:
-            raise ConfigError("this network dispatches on a class map; none given")
+        classes = _dispatch_plan(self.config, x, classes)
         out = self.head(x)
         for cascade, fuse in zip(self.cascades, self.global_fusions):
             b = cascade(out, classes)

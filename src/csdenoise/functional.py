@@ -85,7 +85,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 
             go_g = go[:, g * opg : (g + 1) * opg]
             colg = cols[:, g * cpg : (g + 1) * cpg].reshape(n, cpg * kk, h * w)
             if kernel.requires_grad:
-                gw = np.einsum("nop,ncp->oc", go_g, colg)
+                gw = (go_g @ colg.transpose(0, 2, 1)).sum(axis=0)
                 if kernel.grad is None:
                     kernel.grad = np.zeros_like(kernel.data)
                 kernel.grad[g * opg : (g + 1) * opg] += gw.reshape(opg, cpg, k, k)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -55,6 +56,12 @@ def save_model(net, hash_cfg: HashConfig, path, seed: int = 0):
 
 
 def _read_exact(fh, n: int, section: str, path) -> bytes:
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > remaining:
+        # checked before reading: a forged length must not become a huge allocation
+        raise ModelFormatError(
+            f"{path}: truncated: {section} needs {n} bytes, only {remaining} remain"
+        )
     data = fh.read(n)
     if len(data) != n:
         raise ModelFormatError(f"{path}: truncated while reading {section}")

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,39 @@ class TestBackward:
             y = (x * 2.0).sum()
         assert not y.requires_grad
         assert y._backward is None
+
+    def test_interleaved_no_grad_threads_leave_recording_on(self):
+        # A enters, B enters, A leaves, B leaves: with one process-wide flag,
+        # B restores the "off" it saw on entry and recording stays off.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        recorded_inside = []
+
+        def inference(enter_after, entered, leave_after, left=None):
+            assert enter_after.wait(10)
+            with no_grad():
+                x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+                recorded_inside.append((x * 2.0).requires_grad)
+                entered.set()
+                assert leave_after.wait(10)
+            if left is not None:
+                left.set()
+
+        start = threading.Event()
+        start.set()
+        threads = [
+            threading.Thread(target=inference, args=(start, a_in, b_in, a_out)),
+            threading.Thread(target=inference, args=(a_in, b_in, a_out)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert recorded_inside == [False, False]
+
+        w = Tensor(np.full((1, 1, 2, 2), 0.5), requires_grad=True)
+        (w * 3.0).sum().backward()
+        assert w.grad is not None and np.all(w.grad == 3.0)
 
 
 class TestArithmetic:

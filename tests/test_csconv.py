@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from csdenoise import functional as F
-from csdenoise.autodiff import Tensor
+from csdenoise.autodiff import Tensor, no_grad
 from csdenoise.csconv import (
     ClassMap,
     CsConv2d,
+    DispatchPlan,
     FilterBank,
     csconv_backward,
     csconv_forward,
+    dispatch_plan,
 )
 from csdenoise.errors import DispatchError, ShapeError
 from helpers import fd_worst_rel_err
@@ -175,6 +177,126 @@ class TestBackward:
         after = csconv_forward(q, classes, bank).data
         changed = np.any(np.abs(after - before) > 0, axis=(0, 1))
         assert np.array_equal(changed, classes == 2)
+
+
+def per_pixel_csconv(x, classes, bank, grad_out):
+    """The definition, one pixel at a time: output, and the gradients of
+    sum(output * grad_out) for the input, the kernels and the biases."""
+    n, _, h, w = x.shape
+    k = bank.kernel_size
+    r = k // 2
+    cls = np.broadcast_to(classes, (n, h, w))
+    xp = np.pad(x, ((0, 0), (0, 0), (r, r), (r, r)))
+    out = np.zeros((n, bank.out_channels, h, w))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(bank.kernels.data)
+    gb = np.zeros(bank.kernels.shape[0])
+    c = bank.out_channels
+    for b in range(n):
+        for y in range(h):
+            for xx in range(w):
+                i = int(cls[b, y, xx])
+                kern = bank.class_kernel(i)
+                patch = xp[b, :, y : y + k, xx : xx + k]
+                g = grad_out[b, :, y, xx]
+                out[b, :, y, xx] = np.tensordot(kern, patch, axes=3)
+                if bank.biases is not None:
+                    out[b, :, y, xx] += bank.class_bias(i)
+                gxp[b, :, y : y + k, xx : xx + k] += np.tensordot(g, kern, axes=1)
+                gk[(i - 1) * c : i * c] += np.multiply.outer(g, patch)
+                gb[(i - 1) * c : i * c] += g
+    gx = gxp[:, :, r : r + h, r : r + w]
+    return out, gx, gk, (None if bank.biases is None else gb.reshape(1, -1, 1, 1))
+
+
+DISPATCH_CASES = {
+    # name: (N, map shape kind, K, bias, classes drawn from)
+    "batch_of_maps": (3, "nhw", 3, True, (1, 2, 3, 4, 5)),
+    "one_map_broadcast": (2, "hw", 3, True, (1, 2, 3, 4, 5)),
+    "classmap": (2, "classmap", 3, True, (1, 3, 5)),
+    "absent_classes": (2, "nhw", 3, True, (2, 5)),
+    "single_class": (2, "nhw", 3, True, (4,)),
+    "no_bias": (2, "nhw", 3, False, (1, 2, 3, 4, 5)),
+    "k1": (2, "nhw", 1, True, (1, 2, 3, 4, 5)),
+    "k5": (2, "nhw", 5, True, (1, 2, 3, 4, 5)),
+}
+
+
+class TestDispatch:
+    """The sorted-segment dispatch against the per-pixel definition."""
+
+    @pytest.mark.parametrize("case", sorted(DISPATCH_CASES))
+    def test_matches_per_pixel_reference(self, rng, case):
+        n, kind, k, bias, present = DISPATCH_CASES[case]
+        h, w = 6, 7
+        bank = random_bank(rng, m=5, c_out=3, c_in=2, k=k, bias=bias)
+        shape = (n, h, w) if kind == "nhw" else (h, w)
+        raw = rng.choice(np.array(present), size=shape)
+        classes = ClassMap(raw) if kind == "classmap" else raw
+        xv = rng.standard_normal((n, 2, h, w))
+        gout = rng.standard_normal((n, 3, h, w))
+        ref_out, ref_gx, ref_gk, ref_gb = per_pixel_csconv(xv, raw, bank, gout)
+
+        x = Tensor(xv.copy(), requires_grad=True)
+        out = csconv_forward(x, classes, bank)
+        (out * Tensor(gout)).sum().backward()
+        assert np.max(np.abs(out.data - ref_out)) < 1e-12
+        with no_grad():  # inference reuses one segment-sized patch buffer
+            assert np.array_equal(csconv_forward(Tensor(xv), classes, bank).data, out.data)
+        assert np.max(np.abs(x.grad - ref_gx)) < 1e-12
+        assert np.max(np.abs(bank.kernels.grad - ref_gk)) < 1e-12
+        if bias:
+            assert np.max(np.abs(bank.biases.grad - ref_gb)) < 1e-12
+        absent = [i for i in range(1, 6) if i not in np.unique(raw)]
+        stacks = bank.kernels.grad.reshape(5, -1)
+        for i in absent:
+            assert np.all(stacks[i - 1] == 0.0)
+            if bias:
+                assert np.all(bank.biases.grad.reshape(5, -1)[i - 1] == 0.0)
+
+    @pytest.mark.parametrize("case", ["batch_of_maps", "one_map_broadcast", "k5"])
+    def test_standalone_backward_matches_autodiff_with_plan(self, rng, case):
+        n, kind, k, bias, present = DISPATCH_CASES[case]
+        bank = random_bank(rng, m=5, c_out=3, c_in=2, k=k, bias=bias)
+        shape = (n, 5, 6) if kind == "nhw" else (5, 6)
+        classes = rng.choice(np.array(present), size=shape)
+        qv = rng.standard_normal((n, 2, 5, 6))
+        gout = rng.standard_normal((n, 3, 5, 6))
+        q = Tensor(qv.copy(), requires_grad=True)
+        (csconv_forward(q, classes, bank) * Tensor(gout)).sum().backward()
+        plan = dispatch_plan(classes, n, 5, 6, bank.num_classes)
+        for given in (classes, plan):
+            gq, gk, gb = csconv_backward(gout, Tensor(qv), given, bank)
+            assert np.array_equal(gq, q.grad)
+            assert np.array_equal(gk, bank.kernels.grad)
+            assert np.array_equal(gb, bank.biases.grad)
+
+    def test_plan_segments_follow_stable_class_order(self):
+        classes = np.array([[[3, 1, 3], [1, 2, 3]], [[2, 2, 1], [3, 1, 1]]])
+        plan = DispatchPlan(classes, 2, 2, 3, 4)
+        flat = classes.reshape(-1)
+        assert plan.segments == [(1, 0, 5), (2, 5, 8), (3, 8, 12)]
+        assert plan.largest_segment == 5
+        for i, start, stop in plan.segments:
+            assert np.array_equal(plan.order[start:stop], np.flatnonzero(flat == i))
+        assert plan.indices.shape == (2, 2, 3)
+
+    def test_plan_is_reused_not_rebuilt(self, rng):
+        bank = random_bank(rng)
+        classes = rng.integers(1, 6, size=(2, 4, 5))
+        plan = dispatch_plan(classes, 2, 4, 5, bank.num_classes)
+        assert dispatch_plan(plan, 2, 4, 5, bank.num_classes) is plan
+        q = Tensor(rng.standard_normal((2, 3, 4, 5)))
+        assert np.array_equal(csconv_forward(q, plan, bank).data,
+                              csconv_forward(q, classes, bank).data)
+
+    def test_plan_checked_against_feature_and_bank(self, rng):
+        plan = dispatch_plan(np.full((2, 4, 4), 5), 2, 4, 4, 5)
+        q = Tensor(rng.random((2, 3, 4, 4)))
+        with pytest.raises(DispatchError):
+            csconv_forward(q, plan, random_bank(rng, m=4))
+        with pytest.raises(ShapeError):
+            csconv_forward(Tensor(rng.random((1, 3, 4, 4))), plan, random_bank(rng, m=5))
 
 
 class TestTypes:

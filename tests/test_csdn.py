@@ -214,3 +214,50 @@ class TestForwardWrapper:
                     assert np.any(gk[cls] != 0.0)
                 else:
                     assert np.all(gk[cls] == 0.0)
+
+
+class TestSharedPlan:
+    """One dispatch plan per forward, shared by every CSConv layer."""
+
+    @pytest.mark.parametrize("arch", ["edsr", "carn"])
+    def test_shared_plan_equals_per_layer_maps(self, rng, monkeypatch, arch):
+        from csdenoise import csconv, csdn
+
+        net = build_cs_edsr(small_cfg(m=5), seed=5) if arch == "edsr" else \
+            build_cs_carn(small_cfg("carn", m=5), seed=5)
+        for _, p in net.named_parameters():  # distinct class stacks
+            p.data[...] += rng.normal(0.0, 0.1, p.shape)
+        xv = rng.random((2, 1, 9, 10))
+        target = Tensor(rng.random((2, 1, 9, 10)))
+        classes = rng.integers(1, 6, size=(2, 9, 10))
+
+        def run():
+            net.zero_grads()
+            x = Tensor(xv.copy(), requires_grad=True)
+            out = net(x, classes)
+            csdn_loss(out, target).backward()
+            return [out.data, x.grad] + [p.grad for p in net.parameters()]
+
+        built = []
+
+        class CountingPlan(csconv.DispatchPlan):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(csconv, "DispatchPlan", CountingPlan)
+        shared = run()
+        assert len(built) == 1
+        # without the network-level plan every layer sorts the raw map itself
+        monkeypatch.setattr(csdn, "_dispatch_plan", lambda cfg, x, classes: classes)
+        per_layer = run()
+        n_cs = sum(isinstance(m, csconv.CsConv2d) for m in _modules(net))
+        assert len(built) == 1 + n_cs
+        for a, b in zip(shared, per_layer):
+            assert np.array_equal(a, b)
+
+
+def _modules(module):
+    yield module
+    for child in module._children.values():
+        yield from _modules(child)

@@ -120,6 +120,19 @@ class TestErrors:
         with pytest.raises(ModelFormatError, match="trailing"):
             load_model(path)
 
+    def test_forged_metadata_length_is_format_error(self, tmp_path, capsys):
+        from csdenoise.cli import run_cli
+
+        path = tmp_path / "m.model"
+        save_model(small_csdn(), HashConfig(), path)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = struct.pack("<Q", 2**60)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError, match="metadata"):
+            load_model(path)
+        assert run_cli(["flops", "--model", str(path)]) == 2
+        assert "metadata" in capsys.readouterr().err
+
     def test_malformed_metadata(self, tmp_path):
         path = tmp_path / "m.model"
         meta = b"{not json"
