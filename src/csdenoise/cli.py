@@ -23,6 +23,7 @@ from .model_io import load_kind, load_model, save_model
 from .pcn import PcnConfig, build_pcn, pcn_class_map
 from .pipeline import (
     TrainConfig,
+    check_class_count,
     evaluate,
     format_report,
     train_csdn,
@@ -147,11 +148,7 @@ def _cmd_classify(args) -> int:
 def _cmd_denoise(args) -> int:
     pcn, hash_cfg = load_kind(args.pcn, "pcn")
     csdn, _ = load_kind(args.csdn, "csdn")
-    if csdn.config.use_csconv and hash_cfg.num_classes != csdn.config.num_classes:
-        raise ConfigError(
-            f"class-count mismatch: classifier hashes into {hash_cfg.num_classes} "
-            f"classes, filter bank holds {csdn.config.num_classes}"
-        )
+    check_class_count(hash_cfg, csdn.config)
     img = read_image(args.infile)
     classes = None
     if csdn.config.use_csconv:
@@ -220,11 +217,6 @@ def _cmd_eval(args) -> int:
         classifier = classifier or "pcn"
     else:
         classifier = classifier or "raisr-noisy"
-    if csdn.config.use_csconv and hash_cfg.num_classes != csdn.config.num_classes:
-        raise ConfigError(
-            f"class-count mismatch: classifier hashes into {hash_cfg.num_classes} "
-            f"classes, filter bank holds {csdn.config.num_classes}"
-        )
     sigma = _resolve(args, "sigma", 25.0, float)
     seed = _resolve(args, "seed", 0, int)
     rows, summary = evaluate(

@@ -233,8 +233,8 @@ def _col2im_taps(gtaps: np.ndarray, shape, k: int) -> np.ndarray:
     r = k // 2
     gxp = np.zeros((n, h + 2 * r, w + 2 * r, c))
     planes = gtaps.reshape(k * k, n, h, w, c)
-    # Taps are added in kernel order, as functional._col2im adds them, so
-    # every pixel sums the same terms in the same order.
+    # Taps are added in kernel order, the same order at every pixel, so the
+    # input gradient does not depend on how the pixels were sorted by class.
     for t in range(k * k):
         i, j = divmod(t, k)
         gxp[:, i : i + h, j : j + w] += planes[t]

@@ -2,6 +2,16 @@
 
 Convolutions are stride-1 with zero padding of K//2, so spatial extents
 are preserved. All kernels are (C_out, C_in/groups, K, K) with odd K.
+
+``conv2d`` runs one GEMM per kernel tap and group and adds the products
+(the accumulating "kn2row" scheme of Anderson et al., 2017). The input is
+zero-padded once to rows of Wp = W+2r, r = K//2, plus one spare bottom row
+that keeps the last tap in range, and flattened: tap (i, j) of the output
+at y*Wp + x then reads the contiguous slice at offset i*Wp + j. The 2r junk
+columns of each output row are dropped; backward pads the output gradient
+with zero junk columns, which makes the same slices its exact adjoint. No
+K*K-sized patch matrix is built: backward keeps only the padded input,
+about (1 + 2r/H)(1 + 2r/W) times the input.
 """
 
 from __future__ import annotations
@@ -10,32 +20,6 @@ import numpy as np
 
 from .autodiff import Tensor, _result
 from .errors import ConfigError, ShapeError
-
-# -- im2col machinery --------------------------------------------------------
-
-
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C, K*K, H*W) patch matrix under zero padding."""
-    n, c, h, w = x.shape
-    r = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (r, r), (r, r)))
-    cols = np.empty((n, c, k, k, h, w))
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
-    return cols.reshape(n, c, k * k, h * w)
-
-
-def _col2im(gcols: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of ``_im2col``: (N, C, K*K, H*W) -> (N, C, H, W)."""
-    n, c = gcols.shape[:2]
-    r = k // 2
-    gxp = np.zeros((n, c, h + 2 * r, w + 2 * r))
-    gc = gcols.reshape(n, c, k, k, h, w)
-    for i in range(k):
-        for j in range(k):
-            gxp[:, :, i : i + h, j : j + w] += gc[:, :, i, j]
-    return gxp[:, :, r : r + h, r : r + w]
 
 
 def _check_kernel(kernel: Tensor, in_channels: int, groups: int):
@@ -54,47 +38,65 @@ def _check_kernel(kernel: Tensor, in_channels: int, groups: int):
         )
 
 
+def _pad_flat(x: np.ndarray, r: int) -> np.ndarray:
+    """(N, C, H, W) -> (N, C, (H+2r+1)*(W+2r)), zero-padded and flattened;
+    with r = 0 no tap reaches past the image, so no spare row is added."""
+    n, c, h, w = x.shape
+    if r == 0:
+        return x.reshape(n, c, h * w)
+    xp = np.zeros((n, c, h + 2 * r + 1, w + 2 * r))
+    xp[:, :, r : r + h, r : r + w] = x
+    return xp.reshape(n, c, -1)
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 1) -> Tensor:
     """Stride-1 zero-padded 2-D convolution, optionally grouped."""
     n, c_in, h, w = x.shape
     _check_kernel(kernel, c_in, groups)
     c_out, cpg, k, _ = kernel.shape
+    if bias is not None and bias.data.shape != (1, c_out, 1, 1):
+        raise ShapeError(f"bias must be (1, {c_out}, 1, 1), got {bias.shape}")
     opg = c_out // groups
-    kk = k * k
+    r = k // 2
+    wp = w + 2 * r
+    span = h * wp  # output pixels per image, junk columns included
+    taps = [i * wp + j for i in range(k) for j in range(k)]
+    groups_io = [(slice(g * opg, (g + 1) * opg), slice(g * cpg, (g + 1) * cpg))
+                 for g in range(groups)]
+    xf = _pad_flat(x.data, r)
+    # one contiguous (C_out, C_in/g) matrix per tap, so matmul can hand it to BLAS
+    wt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1)).reshape(k * k, c_out, cpg)
 
-    cols = _im2col(x.data, k)  # (N, C_in, KK, HW)
-    out = np.empty((n, c_out, h * w))
-    for g in range(groups):
-        wg = kernel.data[g * opg : (g + 1) * opg].reshape(opg, cpg * kk)
-        colg = cols[:, g * cpg : (g + 1) * cpg].reshape(n, cpg * kk, h * w)
-        out[:, g * opg : (g + 1) * opg] = wg @ colg
-    out = out.reshape(n, c_out, h, w)
-    if bias is not None:
-        if bias.data.shape != (1, c_out, 1, 1):
-            raise ShapeError(f"bias must be (1, {c_out}, 1, 1), got {bias.shape}")
-        out = out + bias.data
+    acc = np.empty((n, c_out, span))
+    tmp = np.empty((n, opg, span))
+    for o, i in groups_io:
+        for t, off in enumerate(taps):
+            np.matmul(wt[t, o], xf[:, i, off : off + span], out=tmp if t else acc[:, o])
+            if t:
+                acc[:, o] += tmp
+    out = acc.reshape(n, c_out, h, wp)[..., :w]
+    out = np.ascontiguousarray(out) if bias is None else out + bias.data
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bw(grad):
-        go = grad.reshape(n, c_out, h * w)
-        if x.requires_grad:
-            gcols = np.empty_like(cols)
-        for g in range(groups):
-            wg = kernel.data[g * opg : (g + 1) * opg].reshape(opg, cpg * kk)
-            go_g = go[:, g * opg : (g + 1) * opg]
-            colg = cols[:, g * cpg : (g + 1) * cpg].reshape(n, cpg * kk, h * w)
-            if kernel.requires_grad:
-                gw = (go_g @ colg.transpose(0, 2, 1)).sum(axis=0)
-                if kernel.grad is None:
-                    kernel.grad = np.zeros_like(kernel.data)
-                kernel.grad[g * opg : (g + 1) * opg] += gw.reshape(opg, cpg, k, k)
-            if x.requires_grad:
-                gcols[:, g * cpg : (g + 1) * cpg] = (wg.T @ go_g).reshape(
-                    n, cpg, kk, h * w
-                )
-        if x.requires_grad:
-            x._accumulate(_col2im(gcols, k, h, w))
+        # zero junk columns make every tap product below the exact adjoint
+        go = np.pad(grad, ((0, 0), (0, 0), (0, 0), (0, 2 * r))).reshape(n, c_out, span)
+        gx = np.zeros_like(xf) if x.requires_grad else None
+        gw = np.empty_like(wt) if kernel.requires_grad else None
+        tmp = np.empty((n, cpg, span)) if x.requires_grad else None
+        for o, i in groups_io:
+            for t, off in enumerate(taps):
+                xs = xf[:, i, off : off + span]
+                if gw is not None:
+                    gw[t, o] = (go[:, o] @ xs.transpose(0, 2, 1)).sum(axis=0)
+                if gx is not None:
+                    np.matmul(wt[t, o].T, go[:, o], out=tmp)
+                    gx[:, i, off : off + span] += tmp
+        if gx is not None:
+            x._accumulate(gx.reshape(n, c_in, -1, wp)[:, :, r : r + h, r : r + w])
+        if gw is not None:
+            kernel._accumulate(gw.reshape(k, k, c_out, cpg).transpose(2, 3, 0, 1))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
 

@@ -83,8 +83,8 @@ def image_gradients(img: np.ndarray):
     return gx, gy
 
 
-def gaussian_window(size: int = DEFAULT_WINDOW, sigma: float = DEFAULT_SIGMA_W) -> np.ndarray:
-    """Separable 2-D Gaussian, normalized to sum 1."""
+def gaussian_1d(size: int, sigma: float) -> np.ndarray:
+    """Sampled 1-D Gaussian on an odd-size window, normalized to sum 1."""
     if size % 2 == 0:
         raise ConfigError(f"window size must be odd, got {size}")
     if sigma <= 0:
@@ -92,21 +92,25 @@ def gaussian_window(size: int = DEFAULT_WINDOW, sigma: float = DEFAULT_SIGMA_W) 
     half = size // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-0.5 * (x / sigma) ** 2)
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
-def _windowed_sum(field: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Weighted window sum with separable kernel outer(g, g), replicate border."""
-    half = g.size // 2
-    h, w = field.shape
-    padded = np.pad(field, half, mode="edge")
-    rows = np.zeros((h + 2 * half, w))
-    for j in range(g.size):
-        rows += g[j] * padded[:, j : j + w]
-    out = np.zeros((h, w))
-    for i in range(g.size):
-        out += g[i] * rows[i : i + h, :]
+def gaussian_window(size: int = DEFAULT_WINDOW, sigma: float = DEFAULT_SIGMA_W) -> np.ndarray:
+    """Separable 2-D Gaussian, the outer product of ``gaussian_1d``; sums to 1."""
+    g = gaussian_1d(size, sigma)
+    return np.outer(g, g)
+
+
+def filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Separable correlation with kernel outer(g, g), valid region only."""
+    size = g.size
+    h, w = img.shape
+    rows = np.zeros((h, w - size + 1))
+    for j in range(size):
+        rows += g[j] * img[:, j : j + w - size + 1]
+    out = np.zeros((h - size + 1, rows.shape[1]))
+    for i in range(size):
+        out += g[i] * rows[i : i + h - size + 1, :]
     return out
 
 
@@ -115,18 +119,10 @@ def structure_tensor(gx: np.ndarray, gy: np.ndarray,
     """Per-pixel Gaussian-weighted 2x2 tensor entries (a, b, d)."""
     if gx.shape != gy.shape:
         raise ShapeError(f"gradient fields disagree: {gx.shape} vs {gy.shape}")
-    if window % 2 == 0:
-        raise ConfigError(f"window size must be odd, got {window}")
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    half = window // 2
-    x = np.arange(-half, half + 1, dtype=np.float64)
-    g = np.exp(-0.5 * (x / sigma) ** 2)
-    g = g / g.sum()
-    a = _windowed_sum(gx * gx, g)
-    b = _windowed_sum(gx * gy, g)
-    d = _windowed_sum(gy * gy, g)
-    return a, b, d
+    g = gaussian_1d(window, sigma)
+    # replicate-border window sums
+    return tuple(filter_valid(np.pad(f, window // 2, mode="edge"), g)
+                 for f in (gx * gx, gx * gy, gy * gy))
 
 
 def eigen_stats(a, b, d):

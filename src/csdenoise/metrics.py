@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
+from .gradient_stats import filter_valid, gaussian_1d
 
 PSNR_CAP_DB = 99.0
 
@@ -21,26 +22,6 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
 
 
-def _gaussian_1d(size: int, sigma: float) -> np.ndarray:
-    half = size // 2
-    x = np.arange(-half, half + 1, dtype=np.float64)
-    g = np.exp(-0.5 * (x / sigma) ** 2)
-    return g / g.sum()
-
-
-def _filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Separable correlation, valid region only."""
-    size = g.size
-    h, w = img.shape
-    rows = np.zeros((h, w - size + 1))
-    for j in range(size):
-        rows += g[j] * img[:, j : j + w - size + 1]
-    out = np.zeros((h - size + 1, rows.shape[1]))
-    for i in range(size):
-        out += g[i] * rows[i : i + h - size + 1, :]
-    return out
-
-
 def ssim(a: np.ndarray, b: np.ndarray, window: int = 11, sigma: float = 1.5,
          k1: float = 0.01, k2: float = 0.03) -> float:
     """Mean local SSIM with a Gaussian window; dynamic range 1."""
@@ -50,14 +31,14 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 11, sigma: float = 1.5,
         raise ShapeError(f"ssim: shape mismatch {a.shape} vs {b.shape}")
     if a.ndim != 2 or min(a.shape) < window:
         raise ShapeError(f"ssim needs a 2-D image at least {window}x{window}, got {a.shape}")
-    g = _gaussian_1d(window, sigma)
+    g = gaussian_1d(window, sigma)
     c1 = k1 * k1
     c2 = k2 * k2
-    mu_a = _filter_valid(a, g)
-    mu_b = _filter_valid(b, g)
-    var_a = _filter_valid(a * a, g) - mu_a * mu_a
-    var_b = _filter_valid(b * b, g) - mu_b * mu_b
-    cov = _filter_valid(a * b, g) - mu_a * mu_b
+    mu_a = filter_valid(a, g)
+    mu_b = filter_valid(b, g)
+    var_a = filter_valid(a * a, g) - mu_a * mu_a
+    var_b = filter_valid(b * b, g) - mu_b * mu_b
+    cov = filter_valid(a * b, g) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .csdn import CsdnConfig, build_csdn, csdn_forward, csdn_loss
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, CsdError, ShapeError
 from .gradient_stats import (
     HashConfig,
     compute_class_map,
@@ -79,11 +79,30 @@ def _check_images(images, patch_size: int | None = None):
     for i, im in enumerate(images):
         if im.ndim != 2:
             raise ShapeError(f"image {i} is not 2-D: {im.shape}")
+        if not np.isfinite(im).all():
+            raise ConfigError(f"image {i} holds non-finite values")
         if patch_size is not None and min(im.shape) < patch_size:
             raise ConfigError(
                 f"image {i} ({im.shape}) is smaller than patch size {patch_size}"
             )
     return images
+
+
+def check_class_count(hash_cfg: HashConfig, csdn_cfg: CsdnConfig):
+    """A class-specific denoiser needs one filter per hash class."""
+    if csdn_cfg.use_csconv and hash_cfg.num_classes != csdn_cfg.num_classes:
+        raise ConfigError(
+            f"class-count mismatch: classifier hashes into {hash_cfg.num_classes} "
+            f"classes, filter bank holds {csdn_cfg.num_classes}"
+        )
+
+
+def _check_step_finite(net, loss: float, epoch: int, step: int):
+    """Stop a diverged run before the optimizer writes non-finite weights."""
+    grad_sq = sum(float(np.vdot(p.grad, p.grad)) for p in net.parameters() if p.grad is not None)
+    if not (np.isfinite(loss) and np.isfinite(grad_sq)):
+        raise CsdError(f"training diverged at epoch {epoch + 1}, step {step + 1}: "
+                       f"loss {loss}, gradient norm {np.sqrt(grad_sq)}")
 
 
 def sample_clean_patch(images, patch_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -141,7 +160,7 @@ def train_pcn(images, cfg: TrainConfig, pcn_cfg: PcnConfig | None = None):
     for epoch in range(cfg.epochs):
         opt.learning_rate = sched.rate_for_epoch(epoch)
         losses = []
-        for _ in range(cfg.steps_per_epoch):
+        for step in range(cfg.steps_per_epoch):
             noisy_batch = np.empty((cfg.batch_size, 1, cfg.patch_size, cfg.patch_size))
             target_batch = np.empty((cfg.batch_size, 3, cfg.patch_size, cfg.patch_size))
             for b in range(cfg.batch_size):
@@ -152,6 +171,7 @@ def train_pcn(images, cfg: TrainConfig, pcn_cfg: PcnConfig | None = None):
             loss = pcn_loss(pred, Tensor(target_batch))
             net.zero_grads()
             loss.backward()
+            _check_step_finite(net, loss.item(), epoch, step)
             opt.step()
             losses.append(loss.item())
         history.append(float(np.mean(losses)))
@@ -177,11 +197,7 @@ def train_csdn(images, cfg: TrainConfig, csdn_cfg: CsdnConfig | None = None,
         )
     if classifier == "pcn" and pcn is None:
         raise ConfigError("classifier mode 'pcn' needs a trained network")
-    if csdn_cfg.use_csconv and hash_cfg.num_classes != csdn_cfg.num_classes:
-        raise ConfigError(
-            f"hash produces {hash_cfg.num_classes} classes but the filter bank "
-            f"holds {csdn_cfg.num_classes}"
-        )
+    check_class_count(hash_cfg, csdn_cfg)
     images = _check_images(images, cfg.patch_size)
     rng = np.random.default_rng(cfg.seed)
     net = build_csdn(csdn_cfg, seed=cfg.seed)
@@ -192,7 +208,7 @@ def train_csdn(images, cfg: TrainConfig, csdn_cfg: CsdnConfig | None = None,
     for epoch in range(cfg.epochs):
         opt.learning_rate = sched.rate_for_epoch(epoch)
         losses = []
-        for _ in range(cfg.steps_per_epoch):
+        for step in range(cfg.steps_per_epoch):
             clean_batch = np.empty((cfg.batch_size, 1, cfg.patch_size, cfg.patch_size))
             noisy_batch = np.empty_like(clean_batch)
             class_batch = (
@@ -212,6 +228,7 @@ def train_csdn(images, cfg: TrainConfig, csdn_cfg: CsdnConfig | None = None,
             loss = csdn_loss(pred, Tensor(clean_batch))
             net.zero_grads()
             loss.backward()
+            _check_step_finite(net, loss.item(), epoch, step)
             opt.step()
             losses.append(loss.item())
         history.append(float(np.mean(losses)))
@@ -231,13 +248,8 @@ def evaluate(net, images, sigma: float, seed: int = 0, classifier: str = "raisr-
     """
     images = _check_images(images)
     hash_cfg = hash_cfg if hash_cfg is not None else HashConfig()
-    if net is not None and net.config.use_csconv and (
-        hash_cfg.num_classes != net.config.num_classes
-    ):
-        raise ConfigError(
-            f"hash produces {hash_cfg.num_classes} classes but the filter bank "
-            f"holds {net.config.num_classes}"
-        )
+    if net is not None:
+        check_class_count(hash_cfg, net.config)
     if names is None:
         names = [f"image{i:03d}" for i in range(len(images))]
     rng = np.random.default_rng(seed)

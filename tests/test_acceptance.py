@@ -243,6 +243,7 @@ def acceptance_images(toy_images):
     return toy_images
 
 
+@pytest.mark.slow
 def test_criterion_06_toy_denoising_gain(acceptance_images):
     t0 = time.time()
     cfg = TrainConfig(sigma=25.0, batch_size=4, patch_size=48, epochs=10,
@@ -268,6 +269,7 @@ def test_criterion_06_toy_denoising_gain(acceptance_images):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_classification_quality_direction(acceptance_images):
     wins = 0
     details = []
@@ -291,6 +293,7 @@ def test_criterion_07_classification_quality_direction(acceptance_images):
                           f"{wins}/3 seeds better ({'; '.join(details)})")
 
 
+@pytest.mark.slow
 def test_criterion_08_ablation_direction(acceptance_images):
     wins = 0
     details = []

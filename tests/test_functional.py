@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,98 @@ class TestConv2d:
             lambda: (F.conv2d(x, k, b, groups=2) * w).sum(), [x, k, b]
         )
         assert err < 1e-4
+
+    def test_gradients_k5_groups4(self, rng):
+        x = Tensor(rng.standard_normal((2, 8, 6, 7)), requires_grad=True)
+        k = Tensor(rng.standard_normal((4, 2, 5, 5)) * 0.3, requires_grad=True)
+        b = Tensor(rng.standard_normal((1, 4, 1, 1)) * 0.1, requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 4, 6, 7)))
+        err = fd_worst_rel_err(
+            lambda: (F.conv2d(x, k, b, groups=4) * w).sum(), [x, k, b]
+        )
+        assert err < 1e-4
+
+
+def _conv_reference(x, k, b, groups, go):
+    """Per-tap loops over the zero-padded input: output, then the adjoint
+    of each tap for the input, kernel and bias gradients."""
+    n, c_in, h, w = x.shape
+    c_out, cpg, kk, _ = k.shape
+    r = kk // 2
+    opg = c_out // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (r, r), (r, r)))
+    out = np.zeros((n, c_out, h, w))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for o in range(c_out):
+        for c in range(cpg):
+            ci = (o // opg) * cpg + c
+            for i in range(kk):
+                for j in range(kk):
+                    window = xp[:, ci, i : i + h, j : j + w]
+                    out[:, o] += k[o, c, i, j] * window
+                    gxp[:, ci, i : i + h, j : j + w] += k[o, c, i, j] * go[:, o]
+                    gk[o, c, i, j] = np.sum(go[:, o] * window)
+    if b is not None:
+        out += b
+    gb = None if b is None else go.sum(axis=(0, 2, 3)).reshape(b.shape)
+    return out, gxp[:, :, r : r + h, r : r + w], gk, gb
+
+
+class TestConv2dAgainstPerTapReference:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("hw", [(7, 5), (3, 11), (1, 2), (2, 1)])
+    def test_output_and_gradients(self, rng, k, groups, hw):
+        x = rng.standard_normal((2, 4) + hw)
+        kernel = rng.standard_normal((8, 4 // groups, k, k))
+        bias = rng.standard_normal((1, 8, 1, 1))
+        go = rng.standard_normal((2, 8) + hw)
+        xt = Tensor(x, requires_grad=True)
+        kt = Tensor(kernel, requires_grad=True)
+        bt = Tensor(bias, requires_grad=True)
+        out = F.conv2d(xt, kt, bt, groups=groups)
+        (out * Tensor(go)).sum().backward()
+        ref_out, ref_gx, ref_gk, ref_gb = _conv_reference(x, kernel, bias, groups, go)
+        assert np.max(np.abs(out.data - ref_out)) < 1e-12
+        assert np.max(np.abs(xt.grad - ref_gx)) < 1e-12
+        assert np.max(np.abs(kt.grad - ref_gk)) < 1e-12
+        assert np.max(np.abs(bt.grad - ref_gb)) < 1e-12
+
+    @pytest.mark.parametrize("frozen", ["input", "kernel"])
+    def test_no_bias_and_frozen_operand(self, rng, frozen):
+        x = rng.standard_normal((2, 6, 9, 4))
+        kernel = rng.standard_normal((4, 3, 3, 3))
+        go = rng.standard_normal((2, 4, 9, 4))
+        xt = Tensor(x, requires_grad=frozen != "input")
+        kt = Tensor(kernel, requires_grad=frozen != "kernel")
+        out = F.conv2d(xt, kt, None, groups=2)
+        (out * Tensor(go)).sum().backward()
+        ref_out, ref_gx, ref_gk, _ = _conv_reference(x, kernel, None, 2, go)
+        assert np.max(np.abs(out.data - ref_out)) < 1e-12
+        if frozen == "input":
+            assert xt.grad is None
+            assert np.max(np.abs(kt.grad - ref_gk)) < 1e-12
+        else:
+            assert kt.grad is None
+            assert np.max(np.abs(xt.grad - ref_gx)) < 1e-12
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_recorded_forward_keeps_no_patch_matrix(self, rng, with_bias):
+        x = Tensor(rng.standard_normal((2, 16, 32, 32)))
+        k = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((1, 16, 1, 1))) if with_bias else None
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = F.conv2d(x, k, b)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        # output plus what backward keeps, and the transient high-water mark
+        assert held - base < 3 * x.data.nbytes
+        assert peak - base < 6 * x.data.nbytes
 
 
 class TestPrelu:

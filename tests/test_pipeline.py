@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from csdenoise.csdn import CsdnConfig
-from csdenoise.errors import ConfigError, ShapeError
+from csdenoise import pipeline
+from csdenoise.errors import ConfigError, CsdError, ShapeError
 from csdenoise.gradient_stats import HashConfig
+from csdenoise.optim import Adam
 from csdenoise.pcn import PcnConfig
 from csdenoise.pipeline import (
     TrainConfig,
@@ -243,3 +245,45 @@ class TestEvaluate:
                                  classifier="raisr-noisy")
         assert len(rows) == 2
         assert np.isfinite(summary["mean_psnr"])
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, micro_images, bad):
+        images = [micro_images[0], micro_images[1].copy()]
+        images[1][5, 7] = bad
+        with pytest.raises(ConfigError, match="image 1 holds non-finite"):
+            train_pcn(images, micro_train_cfg(), micro_pcn_cfg())
+        with pytest.raises(ConfigError, match="image 1 holds non-finite"):
+            train_csdn(images, micro_train_cfg(), micro_csdn_cfg())
+        with pytest.raises(ConfigError, match="image 1 holds non-finite"):
+            evaluate(None, images, 25.0)
+
+    def test_all_nan_image_rejected(self):
+        images = [np.full((32, 32), np.nan)]
+        with pytest.raises(ConfigError):
+            train_pcn(images, micro_train_cfg(), micro_pcn_cfg())
+        with pytest.raises(ConfigError):
+            train_csdn(images, micro_train_cfg(), micro_csdn_cfg())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stage", ["pcn", "csdn"])
+    def test_diverging_run_stops_before_the_optimizer_step(self, micro_images,
+                                                           monkeypatch, stage):
+        steps = []
+
+        class FiniteOnlyAdam(Adam):
+            def step(self):
+                assert all(np.isfinite(p.grad).all() for p in self.params)
+                steps.append(len(steps))
+                super().step()
+
+        monkeypatch.setattr(pipeline, "Adam", FiniteOnlyAdam)
+        # one Adam step at this rate moves every weight by ~1e300
+        cfg = micro_train_cfg(learning_rate=1e300)
+        with pytest.raises(CsdError, match="diverged at epoch 1, step 2: loss"):
+            if stage == "pcn":
+                train_pcn(micro_images, cfg, micro_pcn_cfg())
+            else:
+                train_csdn(micro_images, cfg, micro_csdn_cfg())
+        assert steps == [0]
