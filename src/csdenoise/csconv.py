@@ -4,16 +4,23 @@ Each output pixel is convolved with the kernel stack of its class index
 (1..M): a mixture of experts with hard per-pixel routing, dispatched as in
 MegaBlocks and Switch Transformer. A ``DispatchPlan`` sorts the pixels by
 class once (a stable argsort of the N*H*W class map) into one contiguous
-segment per class present. Each layer gathers every pixel's patch row
-straight into that sorted order, runs one GEMM per segment (a weight- and
-an input-gradient GEMM in the backward pass) and scatters the output rows
-back to raster order once.
+segment per class present; the networks build one plan per forward and hand
+it to every CSConv layer, since all of them share the class map.
 
-All CSConv layers of a network forward share one class map, so the networks
-build the plan once per forward and hand it to every layer rather than have
-each layer sort again. The stable sort keeps raster order within a class, so
-each GEMM sees the rows a per-class gather would, in the same order, and its
-results are the same to the bit.
+A layer pads its input once, pixel-major, and views it as one row of C values
+per padded pixel, so a pixel's patch is the K*K whole rows at its corner row
+plus fixed tap offsets; the bank is reordered to match, (M, C_out, K*K*C) with
+columns in (tap, channel) order. Each segment is worked in chunks of
+``_CHUNK`` sorted pixels: ``np.take`` gathers a chunk's patches into a small
+reused buffer and one GEMM turns them into output rows, written straight to
+their raster positions.
+
+No K*K-sized patch matrix is kept for backward. It keeps the padded rows and
+the sorted corners and regathers each chunk's patches, the trade gradient
+checkpointing makes (Chen et al., 2016). Per chunk it adds ``g.T @ patches``
+to the weight gradient and scatter-adds ``g @ W`` into a padded input
+gradient, one tap at a time, since no two pixels of a tap share a row. Sums
+run in class-sorted order, which is deterministic for a given map.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _records_graph, _result
+from .autodiff import Tensor, _result
 from .errors import ConfigError, DispatchError, ShapeError
 from .modules import Module, kaiming_uniform
 
@@ -181,64 +188,77 @@ def dispatch_plan(classes, n: int, h: int, w: int, num_classes: int) -> Dispatch
     return classes
 
 
-# Rows gathered per np.take call: keeps the index block small and in cache.
-_GATHER_ROWS = 2048
+# Pixels per gather-and-GEMM step: a (chunk, K*K, C) patch block stays in cache.
+_CHUNK = 512
 
 
-def _segment_matmuls(x: np.ndarray, plan: DispatchPlan, bank: FilterBank, keep_cols: bool):
-    """Class-sorted output rows (N*H*W, C_out), and the patch matrix if kept.
-
-    A patch row is one pixel's zero-padded K x K receptive field, columns in
-    the kernel's (C, K, K) order. Each segment's rows are gathered straight
-    from a pixel-major padded copy of ``x`` and multiplied by the class's
-    kernel while still in cache. With ``keep_cols`` the rows fill one
-    (N*H*W, C*K*K) matrix in plan order, for the backward pass; otherwise
-    one buffer the size of the largest segment is reused.
-    """
+def _patch_source(x: np.ndarray, img, pix, k: int):
+    """What the patch gathers read: the zero-padded input as one row of C
+    values per padded pixel, the top-left patch row of each pixel ``pix`` of
+    image ``img``, and the K*K row offsets of the taps in (ky, kx) order."""
     n, c, h, w = x.shape
-    k = bank.kernel_size
-    c_out = bank.out_channels
     r = k // 2
     wp = w + 2 * r
     xp = np.zeros((n, h + 2 * r, wp, c))
     xp[:, r : r + h, r : r + w] = x.transpose(0, 2, 3, 1)
-    xp = xp.reshape(-1)
-    taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
-    offsets = (np.arange(c)[:, None] + taps * c).reshape(-1)
-    img, pix = np.divmod(plan.order, h * w)
-    rows = ((img * (h + 2 * r) + pix // w) * wp + pix % w) * c  # patch corner in xp
-    wmat = bank.kernels.data.reshape(bank.num_classes, c_out, -1)
-    bias = None if bank.biases is None else bank.biases.data.reshape(bank.num_classes, c_out)
+    corner = (img * (h + 2 * r) + pix // w) * wp + pix % w
+    return xp.reshape(-1, c), corner, (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
 
-    cols = np.empty((rows.size if keep_cols else plan.largest_segment, c * k * k))
-    out = np.empty((rows.size, c_out))
+
+def _chunks(plan: DispatchPlan):
+    """(class, lo, hi) runs of at most ``_CHUNK`` sorted pixels, by segment."""
     for i, start, stop in plan.segments:
-        block = cols[start:stop] if keep_cols else cols[: stop - start]
-        for lo in range(start, stop, _GATHER_ROWS):
-            hi = min(lo + _GATHER_ROWS, stop)
-            # indices are in range by construction; "clip" lets take write to out unbuffered
-            np.take(xp, rows[lo:hi, None] + offsets, out=block[lo - start : hi - start],
-                    mode="clip")
-        seg = out[start:stop]
-        np.matmul(block, wmat[i - 1].T, out=seg)
-        if bias is not None:
-            seg += bias[i - 1]
-    return out, (cols if keep_cols else None)
+        for lo in range(start, stop, _CHUNK):
+            yield i, lo, min(lo + _CHUNK, stop)
 
 
-def _col2im_taps(gtaps: np.ndarray, shape, k: int) -> np.ndarray:
-    """Adjoint of the patch gather: (K*K, N*H*W, C) per-tap gradients with
-    pixels in raster order -> (N, C, H, W)."""
-    n, c, h, w = shape
-    r = k // 2
-    gxp = np.zeros((n, h + 2 * r, w + 2 * r, c))
-    planes = gtaps.reshape(k * k, n, h, w, c)
-    # Taps are added in kernel order, the same order at every pixel, so the
-    # input gradient does not depend on how the pixels were sorted by class.
-    for t in range(k * k):
-        i, j = divmod(t, k)
-        gxp[:, i : i + h, j : j + w] += planes[t]
-    return gxp[:, r : r + h, r : r + w].transpose(0, 3, 1, 2)
+def _bank_matrix(bank: FilterBank) -> np.ndarray:
+    """(M, C_out, K*K*C) weights, columns in a patch's (tap, channel) order."""
+    m, c_out, c, k = bank.num_classes, bank.out_channels, bank.in_channels, bank.kernel_size
+    stacks = bank.kernels.data.reshape(m, c_out, c, k * k)
+    return stacks.transpose(0, 1, 3, 2).reshape(m, c_out, -1)
+
+
+def _gather(rows, idx, block):
+    """Patch rows ``rows[idx]`` into ``block``, returned as (len, K*K*C)."""
+    # indices are in range by construction; "clip" lets take write to out unbuffered
+    return np.take(rows, idx, axis=0, out=block, mode="clip").reshape(len(idx), -1)
+
+
+def _backward(grad_out, rows, corner, taps, plan, bank, need_input_grad=True):
+    """(grad_q, grad_kernels, grad_biases), regathering each chunk's patches."""
+    n, c_out, h, w = grad_out.shape
+    m, c, k = bank.num_classes, bank.in_channels, bank.kernel_size
+    img, pix = np.divmod(plan.order, h * w)
+    go_rows = grad_out.reshape(n, c_out, h * w).transpose(0, 2, 1)  # a view, (N, H*W, C_out)
+    wmat = _bank_matrix(bank)
+    gkmat = np.zeros_like(wmat)
+    gb = np.zeros((m, c_out))
+    gxp = np.zeros_like(rows) if need_input_grad else None
+    block = np.empty((min(_CHUNK, corner.size), taps.size, c))
+    gblock, acc = np.empty_like(block), np.empty((len(block), c))
+
+    for i, lo, hi in _chunks(plan):
+        g = go_rows[img[lo:hi], pix[lo:hi]]
+        idx = corner[lo:hi, None] + taps
+        gkmat[i - 1] += g.T @ _gather(rows, idx, block[: hi - lo])
+        gb[i - 1] += g.sum(axis=0)
+        if need_input_grad:
+            gpatches = gblock[: hi - lo]
+            np.matmul(g, wmat[i - 1], out=gpatches.reshape(hi - lo, -1))
+            for t in range(taps.size):
+                # the pixels of one tap read distinct rows: no row is added to twice
+                dst = idx[:, t]
+                rows_t = np.take(gxp, dst, axis=0, out=acc[: hi - lo], mode="clip")
+                rows_t += gpatches[:, t]
+                gxp[dst] = rows_t
+
+    gk = gkmat.reshape(m, c_out, k * k, c).transpose(0, 1, 3, 2).reshape(bank.kernels.shape)
+    if need_input_grad:
+        r = k // 2
+        gxp = gxp.reshape(n, h + 2 * r, w + 2 * r, c)[:, r : r + h, r : r + w]
+        gxp = gxp.transpose(0, 3, 1, 2)
+    return gxp, gk, (None if bank.biases is None else gb.reshape(bank.biases.shape))
 
 
 def csconv_forward(q: Tensor, classes, bank: FilterBank) -> Tensor:
@@ -256,15 +276,24 @@ def csconv_forward(q: Tensor, classes, bank: FilterBank) -> Tensor:
     if bank.biases is not None:
         parents.append(bank.biases)
 
-    out_sorted, cols = _segment_matmuls(q.data, plan, bank, keep_cols=_records_graph(parents))
-    out = np.empty_like(out_sorted)
-    out[plan.order] = out_sorted
-    out = np.ascontiguousarray(out.reshape(n, h, w, -1).transpose(0, 3, 1, 2))
+    img, pix = np.divmod(plan.order, h * w)
+    rows, corner, taps = _patch_source(q.data, img, pix, bank.kernel_size)
+    wmat = _bank_matrix(bank)
+    out = np.empty((n, bank.out_channels, h, w))
+    out_rows = out.reshape(n, -1, h * w).transpose(0, 2, 1)  # a view, (N, H*W, C_out)
+    block = np.empty((min(_CHUNK, corner.size), taps.size, c_in))
+    res = np.empty((len(block), bank.out_channels))
+    for i, lo, hi in _chunks(plan):
+        y = res[: hi - lo]
+        np.matmul(_gather(rows, corner[lo:hi, None] + taps, block[: hi - lo]),
+                  wmat[i - 1].T, out=y)
+        if bank.biases is not None:
+            y += bank.class_bias(i)
+        out_rows[img[lo:hi], pix[lo:hi]] = y
 
     def bw(grad):
-        gq, gk, gb = _csconv_backward_arrays(
-            grad, cols, plan, bank, q.shape, need_input_grad=q.requires_grad
-        )
+        gq, gk, gb = _backward(grad, rows, corner, taps, plan, bank,
+                               need_input_grad=q.requires_grad)
         if q.requires_grad:
             q._accumulate(gq)
         if bank.kernels.requires_grad:
@@ -273,36 +302,6 @@ def csconv_forward(q: Tensor, classes, bank: FilterBank) -> Tensor:
             bank.biases._accumulate(gb)
 
     return _result(out, tuple(parents), bw)
-
-
-def _csconv_backward_arrays(grad_out, cols, plan, bank, shape, need_input_grad=True):
-    n, c_in, h, w = shape
-    k = bank.kernel_size
-    c_out = bank.out_channels
-    m = bank.num_classes
-    go = grad_out.reshape(n, c_out, h * w).transpose(0, 2, 1).reshape(-1, c_out)[plan.order]
-    wmat = bank.kernels.data.reshape(m, c_out, -1)
-
-    gk = np.zeros_like(bank.kernels.data)
-    gkmat = gk.reshape(m, c_out, -1)
-    gb = None if bank.biases is None else np.zeros_like(bank.biases.data)
-    if need_input_grad:
-        # patch-row gradients per tap, pixels scattered back to raster order
-        gtaps = np.empty((k * k, go.shape[0], c_in))
-        gseg = np.empty((plan.largest_segment, c_in * k * k))
-
-    for i, start, stop in plan.segments:
-        g = go[start:stop]
-        gkmat[i - 1] = g.T @ cols[start:stop]
-        if gb is not None:
-            gb.reshape(m, c_out)[i - 1] = g.sum(axis=0)
-        if need_input_grad:
-            block = gseg[: stop - start]
-            np.matmul(g, wmat[i - 1], out=block)
-            gtaps[:, plan.order[start:stop]] = block.reshape(-1, c_in, k * k).transpose(2, 0, 1)
-
-    gq = _col2im_taps(gtaps, shape, k) if need_input_grad else None
-    return gq, gk, gb
 
 
 def csconv_backward(grad_out, q: Tensor, classes, bank: FilterBank):
@@ -318,8 +317,8 @@ def csconv_backward(grad_out, q: Tensor, classes, bank: FilterBank):
             f"({n},{bank.out_channels},{h},{w})"
         )
     plan = dispatch_plan(classes, n, h, w, bank.num_classes)
-    _, cols = _segment_matmuls(q.data, plan, bank, keep_cols=True)
-    return _csconv_backward_arrays(grad_out, cols, plan, bank, q.shape)
+    img, pix = np.divmod(plan.order, h * w)
+    return _backward(grad_out, *_patch_source(q.data, img, pix, bank.kernel_size), plan, bank)
 
 
 class CsConv2d(Module):

@@ -1,7 +1,8 @@
 """Grayscale image files: binary PGM (P5) and 8-bit PNG.
 
-Pixels map to [0, 1] as v/255 on read; writes quantize with round-half-up
-after clipping. Color PNGs collapse to luminance with BT.601 weights.
+Pixels map to [0, 1] as v/maxval on read (maxval is 255 for PNG); writes
+quantize to 8 bits with round-half-up after clipping. Color PNGs collapse to
+luminance with BT.601 weights.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ def _read_pgm(data: bytes, path) -> np.ndarray:
             f"{path}: truncated PGM payload ({len(payload)} of {width * height} bytes)"
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return pixels.astype(np.float64) / 255.0
+    if pixels.max() > maxval:
+        raise ImageFormatError(f"{path}: PGM sample {pixels.max()} exceeds maxval {maxval}")
+    return pixels.astype(np.float64) / maxval
 
 
 def _write_pgm(img_u8: np.ndarray, path):
@@ -135,6 +138,8 @@ def _read_png(data: bytes, path) -> np.ndarray:
     idat = b""
     for ctype, body in _png_chunks(data, path):
         if ctype == b"IHDR":
+            if len(body) != 13:
+                raise ImageFormatError(f"{path}: PNG IHDR is {len(body)} bytes, not 13")
             header = struct.unpack(">IIBBBBB", body)
         elif ctype == b"IDAT":
             idat += body
@@ -143,6 +148,8 @@ def _read_png(data: bytes, path) -> np.ndarray:
     if header is None:
         raise ImageFormatError(f"{path}: missing PNG IHDR")
     width, height, depth, color, comp, filt, interlace = header
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"{path}: bad PNG extents {width}x{height}")
     if depth != 8:
         raise ImageFormatError(f"{path}: only 8-bit PNG supported (depth {depth})")
     if color not in (0, 2):

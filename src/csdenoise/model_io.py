@@ -82,7 +82,7 @@ def load_model(path):
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length", path))
         try:
             meta = json.loads(_read_exact(fh, meta_len, "metadata", path))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ModelFormatError(f"{path}: malformed metadata block") from exc
 
         try:
@@ -90,6 +90,10 @@ def load_model(path):
             hash_cfg = HashConfig(**meta["hash"])
             seed = meta["seed"]
             declared = meta["params"]
+            if type(seed) is not int or seed < 0:
+                raise ModelFormatError(f"{path}: seed {seed!r} is not a non-negative integer")
+            if not isinstance(declared, list) or not all(isinstance(e, dict) for e in declared):
+                raise ModelFormatError(f"{path}: metadata params must be a list of entries")
             if kind == "pcn":
                 net = build_pcn(PcnConfig(**meta["config"]), seed=seed)
             elif kind == "csdn":
@@ -120,6 +124,8 @@ def load_model(path):
                 )
             raw = _read_exact(fh, count * 8, f"payload of {name!r}", path)
             tensor.data[...] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape)
+            if not np.all(np.isfinite(tensor.data)):
+                raise ModelFormatError(f"{path}: parameter {name!r} holds non-finite values")
         trailing = fh.read(1)
         if trailing:
             raise ModelFormatError(f"{path}: unexpected trailing bytes")

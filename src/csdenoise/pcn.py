@@ -26,9 +26,9 @@ class PcnConfig:
     residual_blocks: int = 3
 
     def __post_init__(self):
-        if self.base_channels % 4:
+        if self.base_channels < 4 or self.base_channels % 4:
             raise ConfigError(
-                "base_channels must be a multiple of 4 (grouped halves split "
+                "base_channels must be a positive multiple of 4 (grouped halves split "
                 f"again into 2 groups); got {self.base_channels}"
             )
         if self.num_scales < 2:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from csdenoise import csconv
 from csdenoise import functional as F
 from csdenoise.autodiff import Tensor, no_grad
 from csdenoise.csconv import (
@@ -209,16 +212,23 @@ def per_pixel_csconv(x, classes, bank, grad_out):
     return out, gx, gk, (None if bank.biases is None else gb.reshape(1, -1, 1, 1))
 
 
+# H x W with N=2 gives 3 * _CHUNK pixels, so each of two classes gets about
+# 1.5 gather chunks: every segment crosses a chunk boundary mid-segment, and
+# the second one starts off the chunk grid.
+_MULTI_CHUNK_HW = (csconv._CHUNK // 16, 24)
+
 DISPATCH_CASES = {
-    # name: (N, map shape kind, K, bias, classes drawn from)
-    "batch_of_maps": (3, "nhw", 3, True, (1, 2, 3, 4, 5)),
-    "one_map_broadcast": (2, "hw", 3, True, (1, 2, 3, 4, 5)),
-    "classmap": (2, "classmap", 3, True, (1, 3, 5)),
-    "absent_classes": (2, "nhw", 3, True, (2, 5)),
-    "single_class": (2, "nhw", 3, True, (4,)),
-    "no_bias": (2, "nhw", 3, False, (1, 2, 3, 4, 5)),
-    "k1": (2, "nhw", 1, True, (1, 2, 3, 4, 5)),
-    "k5": (2, "nhw", 5, True, (1, 2, 3, 4, 5)),
+    # name: (N, map shape kind, K, bias, classes drawn from, (H, W))
+    "batch_of_maps": (3, "nhw", 3, True, (1, 2, 3, 4, 5), (6, 7)),
+    "one_map_broadcast": (2, "hw", 3, True, (1, 2, 3, 4, 5), (6, 7)),
+    "classmap": (2, "classmap", 3, True, (1, 3, 5), (6, 7)),
+    "absent_classes": (2, "nhw", 3, True, (2, 5), (6, 7)),
+    "single_class": (2, "nhw", 3, True, (4,), (6, 7)),
+    "no_bias": (2, "nhw", 3, False, (1, 2, 3, 4, 5), (6, 7)),
+    "k1": (2, "nhw", 1, True, (1, 2, 3, 4, 5), (6, 7)),
+    "k5": (2, "nhw", 5, True, (1, 2, 3, 4, 5), (6, 7)),
+    "multi_chunk": (2, "nhw", 3, True, (2, 4), _MULTI_CHUNK_HW),
+    "smaller_than_kernel": (2, "nhw", 5, True, (1, 2, 3), (1, 2)),
 }
 
 
@@ -227,11 +237,13 @@ class TestDispatch:
 
     @pytest.mark.parametrize("case", sorted(DISPATCH_CASES))
     def test_matches_per_pixel_reference(self, rng, case):
-        n, kind, k, bias, present = DISPATCH_CASES[case]
-        h, w = 6, 7
+        n, kind, k, bias, present, (h, w) = DISPATCH_CASES[case]
         bank = random_bank(rng, m=5, c_out=3, c_in=2, k=k, bias=bias)
         shape = (n, h, w) if kind == "nhw" else (h, w)
         raw = rng.choice(np.array(present), size=shape)
+        if case == "multi_chunk":
+            sizes = np.bincount(raw.reshape(-1))[list(present)]
+            assert np.all(sizes > csconv._CHUNK) and np.all(sizes % csconv._CHUNK)
         classes = ClassMap(raw) if kind == "classmap" else raw
         xv = rng.standard_normal((n, 2, h, w))
         gout = rng.standard_normal((n, 3, h, w))
@@ -241,7 +253,7 @@ class TestDispatch:
         out = csconv_forward(x, classes, bank)
         (out * Tensor(gout)).sum().backward()
         assert np.max(np.abs(out.data - ref_out)) < 1e-12
-        with no_grad():  # inference reuses one segment-sized patch buffer
+        with no_grad():
             assert np.array_equal(csconv_forward(Tensor(xv), classes, bank).data, out.data)
         assert np.max(np.abs(x.grad - ref_gx)) < 1e-12
         assert np.max(np.abs(bank.kernels.grad - ref_gk)) < 1e-12
@@ -256,7 +268,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("case", ["batch_of_maps", "one_map_broadcast", "k5"])
     def test_standalone_backward_matches_autodiff_with_plan(self, rng, case):
-        n, kind, k, bias, present = DISPATCH_CASES[case]
+        n, kind, k, bias, present, _ = DISPATCH_CASES[case]
         bank = random_bank(rng, m=5, c_out=3, c_in=2, k=k, bias=bias)
         shape = (n, 5, 6) if kind == "nhw" else (5, 6)
         classes = rng.choice(np.array(present), size=shape)
@@ -297,6 +309,41 @@ class TestDispatch:
             csconv_forward(q, plan, random_bank(rng, m=4))
         with pytest.raises(ShapeError):
             csconv_forward(Tensor(rng.random((1, 3, 4, 4))), plan, random_bank(rng, m=5))
+
+
+def _traced_bytes(fn):
+    """fn()'s result, with the bytes it still holds and its peak (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
+
+
+class TestMemory:
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_recorded_forward_keeps_no_patch_matrix(self, rng, bias):
+        bank = random_bank(rng, m=5, c_out=16, c_in=16, k=3, bias=bias)
+        x = Tensor(rng.standard_normal((2, 16, 32, 32)), requires_grad=True)
+        classes = rng.integers(1, 6, size=(2, 32, 32))
+        out, held, peak = _traced_bytes(lambda: csconv_forward(x, classes, bank))
+        assert out._backward is not None
+        # output plus what backward keeps, and the transient high-water mark;
+        # a kept (N*H*W, C*K*K) patch matrix alone is 9x the input
+        assert held < 3 * x.data.nbytes
+        assert peak < 6 * x.data.nbytes
+
+    def test_inference_peak(self, rng):
+        bank = random_bank(rng, m=72, c_out=16, c_in=16, k=3)
+        x = Tensor(rng.standard_normal((1, 16, 256, 256)))
+        classes = rng.integers(1, 73, size=(256, 256))
+        with no_grad():
+            out, _, peak = _traced_bytes(lambda: csconv_forward(x, classes, bank))
+        assert out._backward is None
+        assert peak < 3.5 * x.data.nbytes
 
 
 class TestTypes:

@@ -1,8 +1,12 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from csdenoise.cli import run_cli
 from csdenoise.errors import ImageFormatError
-from csdenoise.image_io import quantize_unit, read_image, write_image
+from csdenoise.image_io import _PNG_SIGNATURE, _png_chunk, quantize_unit, read_image, write_image
 
 
 class TestPgm:
@@ -35,6 +39,17 @@ class TestPgm:
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2 2\n255\n1 2 3 4")
         with pytest.raises(ImageFormatError):
+            read_image(path)
+
+    def test_samples_scale_by_maxval(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n" + bytes([100, 50]))
+        assert read_image(path).tolist() == [[1.0, 0.5]]
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n" + bytes([101, 50]))
+        with pytest.raises(ImageFormatError, match="maxval"):
             read_image(path)
 
     def test_sixteen_bit_rejected(self, tmp_path):
@@ -101,6 +116,31 @@ class TestPng:
         path.write_bytes(bytes(payload))
         with pytest.raises(ImageFormatError):
             read_image(path)
+
+    @staticmethod
+    def _png(tmp_path, ihdr, raw):
+        """A PNG file of the given IHDR body and uncompressed scanline bytes."""
+        path = tmp_path / "t.png"
+        path.write_bytes(_PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr)
+                         + _png_chunk(b"IDAT", zlib.compress(raw)) + _png_chunk(b"IEND", b""))
+        return path
+
+    def test_ihdr_of_wrong_length_rejected(self, tmp_path, capsys):
+        ihdr = struct.pack(">IIBBBBB", 4, 4, 8, 0, 0, 0, 0)
+        for body in (ihdr[:12], ihdr + b"\x00"):
+            path = self._png(tmp_path, body, bytes(4 * 5))
+            with pytest.raises(ImageFormatError, match="IHDR is"):
+                read_image(path)
+        out = tmp_path / "map.pgm"
+        assert run_cli(["classify", "--in", str(path), "--raisr", "--out", str(out)]) == 2
+        assert "IHDR is 14 bytes" in capsys.readouterr().err
+
+    def test_zero_extents_rejected(self, tmp_path):
+        for width, height in ((0, 0), (0, 4), (4, 0)):
+            ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+            path = self._png(tmp_path, ihdr, bytes(height * (width + 1)))
+            with pytest.raises(ImageFormatError, match="bad PNG extents"):
+                read_image(path)
 
     def test_unsupported_format(self, tmp_path):
         path = tmp_path / "x.jpg"

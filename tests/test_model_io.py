@@ -1,8 +1,10 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from csdenoise.cli import run_cli
 from csdenoise.csdn import CsdnConfig, build_cs_edsr
 from csdenoise.errors import ModelFormatError
 from csdenoise.gradient_stats import HashConfig
@@ -121,8 +123,6 @@ class TestErrors:
             load_model(path)
 
     def test_forged_metadata_length_is_format_error(self, tmp_path, capsys):
-        from csdenoise.cli import run_cli
-
         path = tmp_path / "m.model"
         save_model(small_csdn(), HashConfig(), path)
         raw = bytearray(path.read_bytes())
@@ -140,3 +140,51 @@ class TestErrors:
                          + struct.pack("<Q", len(meta)) + meta)
         with pytest.raises(ModelFormatError, match="metadata"):
             load_model(path)
+
+
+def _rewrite_meta(path, edit):
+    """Rewrite a model file's metadata block with ``edit(meta)`` applied."""
+    raw = path.read_bytes()
+    meta_len = struct.unpack("<Q", raw[8:16])[0]
+    meta = json.loads(raw[16 : 16 + meta_len])
+    edit(meta)
+    blob = json.dumps(meta).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + meta_len :])
+
+
+class TestCorruptContent:
+    """Corruptions that decode as far as the content: each is a ModelFormatError
+    and exit status 2 from the CLI, never another exception."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(small_csdn(), HashConfig(), path)
+        return path
+
+    def _rejected(self, path, match, capsys):
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+        assert run_cli(["flops", "--model", str(path)]) == 2
+        assert match in capsys.readouterr().err
+
+    def test_bit_flip_to_invalid_utf8_in_metadata(self, path, capsys):
+        raw = bytearray(path.read_bytes())
+        raw[16 + raw[16:].index(b"edsr")] ^= 0x80
+        path.write_bytes(bytes(raw))
+        self._rejected(path, "malformed metadata", capsys)
+
+    def test_negative_seed(self, path, capsys):
+        _rewrite_meta(path, lambda meta: meta.update(seed=-1))
+        self._rejected(path, "seed -1", capsys)
+
+    def test_params_not_a_list(self, path, capsys):
+        _rewrite_meta(path, lambda meta: meta.update(params=5))
+        self._rejected(path, "params must be a list", capsys)
+
+    def test_nan_weight(self, path, capsys):
+        raw = bytearray(path.read_bytes())
+        first_value = 16 + struct.unpack("<Q", raw[8:16])[0] + 8
+        raw[first_value : first_value + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(raw))
+        self._rejected(path, "non-finite", capsys)

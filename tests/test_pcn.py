@@ -66,6 +66,8 @@ class TestBuilder:
         with pytest.raises(ConfigError):
             PcnConfig(base_channels=10)  # not a multiple of 4
         with pytest.raises(ConfigError):
+            PcnConfig(base_channels=0)  # a multiple of 4, but builds empty convs
+        with pytest.raises(ConfigError):
             PcnConfig(num_scales=1)
 
     def test_receptive_field_grows_with_scales(self, rng):
