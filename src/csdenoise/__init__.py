@@ -6,16 +6,7 @@ classes; denoising networks then convolve each pixel with per-class
 weights drawn from a learned filter bank.
 """
 
-from .autodiff import Tensor, no_grad
-from .csconv import ClassMap, CsConv2d, FilterBank, csconv_backward, csconv_forward
-from .csdn import (
-    CsdnConfig,
-    build_cs_carn,
-    build_cs_edsr,
-    build_csdn,
-    csdn_forward,
-    csdn_loss,
-)
+from .csdn import CsdnConfig, build_csdn, csdn_forward
 from .errors import (
     ConfigError,
     ContractError,
@@ -25,87 +16,38 @@ from .errors import (
     ModelFormatError,
     ShapeError,
 )
-from .flops import FlopsReport, count_flops
-from .gradient_stats import (
-    GradientStatsMap,
-    HashConfig,
-    compute_class_map,
-    compute_stats,
-    eigen_stats,
-    hash_classes,
-    image_gradients,
-    normalize_stats,
-    normalized_stats_mse,
-    structure_tensor,
-)
+from .gradient_stats import HashConfig, compute_class_map
 from .image_io import read_image, write_image
-from .metrics import psnr, ssim
-from .model_io import load_kind, load_model, save_model
-from .optim import Adam, AdamState, StepDecay, adam_step
-from .pcn import PcnConfig, build_pcn, pcn_class_map, pcn_forward, pcn_loss
-from .pipeline import (
-    TrainConfig,
-    add_awgn,
-    augment_patch,
-    evaluate,
-    train_csdn,
-    train_pcn,
-)
+from .metrics import psnr
+from .model_io import load_model, save_model
+from .pcn import PcnConfig, build_pcn, pcn_class_map
+from .pipeline import TrainConfig, add_awgn, evaluate, train_csdn, train_pcn
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam",
-    "AdamState",
-    "ClassMap",
     "ConfigError",
     "ContractError",
-    "CsConv2d",
     "CsdError",
     "CsdnConfig",
     "DispatchError",
-    "FilterBank",
-    "FlopsReport",
-    "GradientStatsMap",
     "HashConfig",
     "ImageFormatError",
     "ModelFormatError",
     "PcnConfig",
     "ShapeError",
-    "StepDecay",
-    "Tensor",
     "TrainConfig",
-    "adam_step",
     "add_awgn",
-    "augment_patch",
-    "build_cs_carn",
-    "build_cs_edsr",
     "build_csdn",
     "build_pcn",
     "compute_class_map",
-    "compute_stats",
-    "count_flops",
-    "csconv_backward",
-    "csconv_forward",
     "csdn_forward",
-    "csdn_loss",
-    "eigen_stats",
     "evaluate",
-    "hash_classes",
-    "image_gradients",
-    "load_kind",
     "load_model",
-    "no_grad",
-    "normalize_stats",
-    "normalized_stats_mse",
     "pcn_class_map",
-    "pcn_forward",
-    "pcn_loss",
     "psnr",
     "read_image",
     "save_model",
-    "ssim",
-    "structure_tensor",
     "train_csdn",
     "train_pcn",
     "write_image",

@@ -22,6 +22,7 @@ from .image_io import read_image, write_image
 from .model_io import load_kind, load_model, save_model
 from .pcn import PcnConfig, build_pcn, pcn_class_map
 from .pipeline import (
+    CLASSIFIER_MODES,
     TrainConfig,
     check_class_count,
     evaluate,
@@ -68,10 +69,7 @@ def _resolve(args, key, default, cast=str):
         return explicit
     cfg = getattr(args, "_file_config", {})
     if key in cfg:
-        raw = cfg[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        return cast(cfg[key])
     return default
 
 
@@ -318,8 +316,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-csdn", help="train the denoiser (classifier frozen)")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--classifier", choices=("pcn", "raisr-noisy", "raisr-clean"),
-                   default=None)
+    p.add_argument("--classifier", choices=CLASSIFIER_MODES, default=None)
     p.add_argument("--pcn", default=None, help="frozen classification model")
     p.add_argument("--arch", choices=("edsr", "carn"), default=None)
     p.add_argument("--num-blocks", dest="num_blocks", type=int, default=None)
@@ -336,8 +333,7 @@ def build_parser() -> _Parser:
     p.add_argument("--csdn", required=True)
     p.add_argument("--pcn", default=None)
     p.add_argument("--report", required=True)
-    p.add_argument("--classifier", choices=("pcn", "raisr-noisy", "raisr-clean"),
-                   default=None)
+    p.add_argument("--classifier", choices=CLASSIFIER_MODES, default=None)
     p.add_argument("--sigma", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_eval)

@@ -170,7 +170,6 @@ class DispatchPlan:
             (i, int(stops[i - 1]), int(stops[i]))
             for i in range(1, num_classes + 1) if stops[i] > stops[i - 1]
         ]
-        self.largest_segment = max((stop - start for _, start, stop in self.segments), default=0)
 
 
 def dispatch_plan(classes, n: int, h: int, w: int, num_classes: int) -> DispatchPlan:

@@ -1,26 +1,11 @@
-"""Adam optimizer with bias correction and a step-decay learning-rate schedule."""
+"""Adam optimizer with bias correction."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError
-
-
-@dataclass
-class AdamState:
-    """Per-parameter first/second moments plus shared hyperparameters."""
-
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
 
 
 class Adam:
@@ -32,54 +17,28 @@ class Adam:
 
     def __init__(self, params, learning_rate=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params: list[Tensor] = list(params)
-        self.state = AdamState(
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            first_moment=[np.zeros_like(p.data) for p in self.params],
-            second_moment=[np.zeros_like(p.data) for p in self.params],
-        )
-
-    @property
-    def learning_rate(self) -> float:
-        return self.state.learning_rate
-
-    @learning_rate.setter
-    def learning_rate(self, value: float):
-        self.state.learning_rate = float(value)
+        self.learning_rate = float(learning_rate)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step_count = 0
+        self.first_moment = [np.zeros_like(p.data) for p in self.params]
+        self.second_moment = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
-        adam_step(self.params, self.state)
-
-
-def adam_step(params, state: AdamState):
-    """Apply one Adam update to every parameter in place."""
-    params = list(params)
-    for i, p in enumerate(params):
-        if p.grad is None:
-            raise ContractError(f"adam_step: parameter {i} has no gradient")
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    for p, m, v in zip(params, state.first_moment, state.second_moment):
-        g = p.grad
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-
-
-@dataclass
-class StepDecay:
-    """Learning rate halving every fixed number of epochs, applied between epochs."""
-
-    base_rate: float = 1e-4
-    factor: float = 0.5
-    every: int = 20
-
-    def rate_for_epoch(self, epoch: int) -> float:
-        return self.base_rate * self.factor ** (epoch // self.every)
+        """Apply one Adam update to every parameter in place."""
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                raise ContractError(f"Adam.step: parameter {i} has no gradient")
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        for p, m, v in zip(self.params, self.first_moment, self.second_moment):
+            g = p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

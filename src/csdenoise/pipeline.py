@@ -22,7 +22,7 @@ from .gradient_stats import (
     normalize_stats,
 )
 from .metrics import psnr, ssim
-from .optim import Adam, StepDecay
+from .optim import Adam
 from .pcn import PcnConfig, build_pcn, pcn_class_map, pcn_loss
 
 CLASSIFIER_MODES = ("pcn", "raisr-noisy", "raisr-clean")
@@ -36,13 +36,14 @@ class TrainConfig:
     epochs: int = 100
     steps_per_epoch: int = 50
     learning_rate: float = 1e-4
-    lr_decay_factor: float = 0.5
-    lr_decay_every: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        _check_sigma(self.sigma)
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(
+                f"learning rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if min(self.batch_size, self.patch_size, self.epochs, self.steps_per_epoch) < 1:
             raise ConfigError("batch/patch/epochs/steps must all be >= 1")
 
@@ -50,10 +51,14 @@ class TrainConfig:
 # -- data ----------------------------------------------------------------------
 
 
+def _check_sigma(sigma: float):
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def add_awgn(img: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Additive white Gaussian noise with std sigma in 8-bit units, unclipped."""
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    _check_sigma(sigma)
     img = np.asarray(img, dtype=np.float64)
     return img + rng.normal(0.0, sigma / 255.0, size=img.shape)
 
@@ -135,7 +140,41 @@ def classify_for_denoiser(noisy: np.ndarray, clean: np.ndarray | None,
     return cmap
 
 
-# -- stage one: classification network -------------------------------------------
+# -- training ----------------------------------------------------------------------
+
+# The protocol halves the learning rate every 20 epochs.
+LR_HALVING_EPOCHS = 20
+
+
+def _fit(net, images, cfg: TrainConfig, step_loss):
+    """Adam loop shared by both stages; returns the per-epoch mean loss history.
+
+    Each step draws a batch of clean patches and their noisy copies, both
+    (batch, 1, patch, patch), and ``step_loss(clean, noisy)`` maps it to the
+    scalar loss tensor of ``net``.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    opt = Adam(net.parameters(), learning_rate=cfg.learning_rate)
+    shape = (cfg.batch_size, 1, cfg.patch_size, cfg.patch_size)
+    history = []
+    for epoch in range(cfg.epochs):
+        opt.learning_rate = cfg.learning_rate * 0.5 ** (epoch // LR_HALVING_EPOCHS)
+        losses = []
+        for step in range(cfg.steps_per_epoch):
+            clean_batch, noisy_batch = np.empty(shape), np.empty(shape)
+            for b in range(cfg.batch_size):
+                clean = sample_clean_patch(images, cfg.patch_size, rng)
+                clean_batch[b, 0] = clean
+                noisy_batch[b, 0] = add_awgn(clean, cfg.sigma, rng)
+            loss = step_loss(clean_batch, noisy_batch)
+            net.zero_grads()
+            loss.backward()
+            _check_step_finite(net, loss.item(), epoch, step)
+            opt.step()
+            losses.append(loss.item())
+        history.append(float(np.mean(losses)))
+    net.zero_grads()
+    return history
 
 
 def train_pcn(images, cfg: TrainConfig, pcn_cfg: PcnConfig | None = None):
@@ -151,35 +190,13 @@ def train_pcn(images, cfg: TrainConfig, pcn_cfg: PcnConfig | None = None):
             f"patch size {cfg.patch_size} must be divisible by {div} "
             f"for {pcn_cfg.num_scales} scales"
         )
-    rng = np.random.default_rng(cfg.seed)
     net = build_pcn(pcn_cfg, seed=cfg.seed)
-    opt = Adam(net.parameters(), learning_rate=cfg.learning_rate)
-    sched = StepDecay(cfg.learning_rate, cfg.lr_decay_factor, cfg.lr_decay_every)
 
-    history = []
-    for epoch in range(cfg.epochs):
-        opt.learning_rate = sched.rate_for_epoch(epoch)
-        losses = []
-        for step in range(cfg.steps_per_epoch):
-            noisy_batch = np.empty((cfg.batch_size, 1, cfg.patch_size, cfg.patch_size))
-            target_batch = np.empty((cfg.batch_size, 3, cfg.patch_size, cfg.patch_size))
-            for b in range(cfg.batch_size):
-                clean = sample_clean_patch(images, cfg.patch_size, rng)
-                target_batch[b] = normalize_stats(compute_stats(clean))
-                noisy_batch[b, 0] = add_awgn(clean, cfg.sigma, rng)
-            pred = net(Tensor(noisy_batch))
-            loss = pcn_loss(pred, Tensor(target_batch))
-            net.zero_grads()
-            loss.backward()
-            _check_step_finite(net, loss.item(), epoch, step)
-            opt.step()
-            losses.append(loss.item())
-        history.append(float(np.mean(losses)))
-    net.zero_grads()
-    return net, history
+    def step_loss(clean, noisy):
+        target = np.stack([normalize_stats(compute_stats(c[0])) for c in clean])
+        return pcn_loss(net(Tensor(noisy)), Tensor(target))
 
-
-# -- stage two: denoiser ----------------------------------------------------------
+    return net, _fit(net, images, cfg, step_loss)
 
 
 def train_csdn(images, cfg: TrainConfig, csdn_cfg: CsdnConfig | None = None,
@@ -199,41 +216,18 @@ def train_csdn(images, cfg: TrainConfig, csdn_cfg: CsdnConfig | None = None,
         raise ConfigError("classifier mode 'pcn' needs a trained network")
     check_class_count(hash_cfg, csdn_cfg)
     images = _check_images(images, cfg.patch_size)
-    rng = np.random.default_rng(cfg.seed)
     net = build_csdn(csdn_cfg, seed=cfg.seed)
-    opt = Adam(net.parameters(), learning_rate=cfg.learning_rate)
-    sched = StepDecay(cfg.learning_rate, cfg.lr_decay_factor, cfg.lr_decay_every)
 
-    history = []
-    for epoch in range(cfg.epochs):
-        opt.learning_rate = sched.rate_for_epoch(epoch)
-        losses = []
-        for step in range(cfg.steps_per_epoch):
-            clean_batch = np.empty((cfg.batch_size, 1, cfg.patch_size, cfg.patch_size))
-            noisy_batch = np.empty_like(clean_batch)
-            class_batch = (
-                np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size), dtype=np.int64)
-                if csdn_cfg.use_csconv
-                else None
-            )
-            for b in range(cfg.batch_size):
-                clean = sample_clean_patch(images, cfg.patch_size, rng)
-                noisy = add_awgn(clean, cfg.sigma, rng)
-                clean_batch[b, 0] = clean
-                noisy_batch[b, 0] = noisy
-                if class_batch is not None:
-                    cmap = classify_for_denoiser(noisy, clean, classifier, pcn, hash_cfg)
-                    class_batch[b] = cmap.indices
-            pred = net(Tensor(noisy_batch), class_batch)
-            loss = csdn_loss(pred, Tensor(clean_batch))
-            net.zero_grads()
-            loss.backward()
-            _check_step_finite(net, loss.item(), epoch, step)
-            opt.step()
-            losses.append(loss.item())
-        history.append(float(np.mean(losses)))
-    net.zero_grads()
-    return net, history
+    def step_loss(clean, noisy):
+        classes = None
+        if csdn_cfg.use_csconv:
+            classes = np.stack([
+                classify_for_denoiser(n[0], c[0], classifier, pcn, hash_cfg).indices
+                for c, n in zip(clean, noisy)
+            ])
+        return csdn_loss(net(Tensor(noisy), classes), Tensor(clean))
+
+    return net, _fit(net, images, cfg, step_loss)
 
 
 # -- evaluation --------------------------------------------------------------------

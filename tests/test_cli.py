@@ -148,6 +148,28 @@ class TestDenoiseAndEval:
         assert rc == 2
         assert "no images found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_eval_non_finite_sigma_exits_two(self, tmp_path, data_dir, trained,
+                                             capsys, sigma):
+        pcn, csdn = trained
+        report = tmp_path / "report.csv"
+        rc = run_cli(["eval", "--data", str(data_dir), "--sigma", sigma,
+                      "--pcn", str(pcn), "--csdn", str(csdn),
+                      "--report", str(report)])
+        assert rc == 2
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_train_non_finite_lr_exits_two(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "pcn.model"
+        rc = run_cli(["train-pcn", "--data", str(data_dir), "--out", str(out),
+                      "--lr", "nan", "--epochs", "1", "--steps-per-epoch", "1",
+                      "--batch-size", "1", "--patch-size", "16",
+                      "--base-channels", "4", "--num-scales", "2"])
+        assert rc == 2
+        assert "learning rate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFlops:
     def test_csdn_report_includes_classifier_line(self, trained, capsys):

@@ -288,7 +288,6 @@ class TestDispatch:
         plan = DispatchPlan(classes, 2, 2, 3, 4)
         flat = classes.reshape(-1)
         assert plan.segments == [(1, 0, 5), (2, 5, 8), (3, 8, 12)]
-        assert plan.largest_segment == 5
         for i, start, stop in plan.segments:
             assert np.array_equal(plan.order[start:stop], np.flatnonzero(flat == i))
         assert plan.indices.shape == (2, 2, 3)

@@ -3,7 +3,7 @@ import pytest
 
 from csdenoise.autodiff import Tensor
 from csdenoise.errors import ContractError
-from csdenoise.optim import Adam, StepDecay, adam_step
+from csdenoise.optim import Adam
 
 
 def _param(value, shape=(1, 1, 1, 1)):
@@ -26,7 +26,7 @@ def test_first_step_magnitude_matches_hand_derivation():
     opt.step()
     expected_decrease = 1e-4 * 1.0 / (1.0 + 1e-8)
     assert abs((1.0 - p.data[0, 0, 0, 0]) - expected_decrease) < 1e-12
-    assert opt.state.step_count == 1
+    assert opt.step_count == 1
 
 
 def test_identical_params_get_identical_updates():
@@ -66,34 +66,11 @@ def test_grads_untouched_by_step():
 def test_moment_invariants():
     p = _param(1.0, (1, 1, 2, 2))
     opt = Adam([p], learning_rate=1e-3)
-    assert opt.state.step_count == 0
-    assert all(np.all(m == 0) for m in opt.state.first_moment)
-    assert all(np.all(v == 0) for v in opt.state.second_moment)
+    assert opt.step_count == 0
+    assert all(np.all(m == 0) for m in opt.first_moment)
+    assert all(np.all(v == 0) for v in opt.second_moment)
     rng = np.random.default_rng(0)
     for _ in range(4):
         p.grad = rng.standard_normal(p.data.shape)
         opt.step()
-    assert all(np.all(v >= 0) for v in opt.state.second_moment)
-
-
-def test_adam_step_function_matches_class(rng):
-    g = rng.standard_normal((1, 1, 2, 2))
-    p1 = Tensor(np.full((1, 1, 2, 2), 0.5), requires_grad=True)
-    opt = Adam([p1], learning_rate=1e-3)
-    p1.grad = g.copy()
-    opt.step()
-
-    p2 = Tensor(np.full((1, 1, 2, 2), 0.5), requires_grad=True)
-    opt2 = Adam([p2], learning_rate=1e-3)
-    p2.grad = g.copy()
-    adam_step(opt2.params, opt2.state)
-    assert np.array_equal(p1.data, p2.data)
-
-
-def test_step_decay_schedule():
-    sched = StepDecay(base_rate=1e-4, factor=0.5, every=20)
-    assert sched.rate_for_epoch(0) == 1e-4
-    assert sched.rate_for_epoch(19) == 1e-4
-    assert sched.rate_for_epoch(20) == 5e-5
-    assert sched.rate_for_epoch(39) == 5e-5
-    assert sched.rate_for_epoch(40) == 2.5e-5
+    assert all(np.all(v >= 0) for v in opt.second_moment)

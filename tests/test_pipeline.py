@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from csdenoise.csdn import CsdnConfig
 from csdenoise import pipeline
+from csdenoise.autodiff import Tensor
+from csdenoise.csdn import CsdnConfig, build_csdn, csdn_loss
 from csdenoise.errors import ConfigError, CsdError, ShapeError
-from csdenoise.gradient_stats import HashConfig
+from csdenoise.gradient_stats import HashConfig, compute_stats, normalize_stats
 from csdenoise.optim import Adam
-from csdenoise.pcn import PcnConfig
+from csdenoise.pcn import PcnConfig, build_pcn, pcn_loss
 from csdenoise.pipeline import (
     TrainConfig,
     add_awgn,
@@ -64,6 +65,23 @@ class TestAwgn:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
             add_awgn(np.zeros((4, 4)), -1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="sigma must be finite"):
+            add_awgn(np.zeros((4, 4)), sigma, np.random.default_rng(0))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="sigma must be finite"):
+            TrainConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1e-4])
+    def test_bad_learning_rate_rejected(self, rate):
+        with pytest.raises(ConfigError, match="learning rate must be finite"):
+            TrainConfig(learning_rate=rate)
 
 
 class TestAugment:
@@ -287,3 +305,147 @@ class TestNonFinite:
             else:
                 train_csdn(micro_images, cfg, micro_csdn_cfg())
         assert steps == [0]
+
+
+# -- reference training loops -------------------------------------------------------
+#
+# The two stages as two separate loop bodies with their own Adam update, kept
+# as the fixed point that ``pipeline._fit`` and ``optim.Adam`` must reproduce
+# bit for bit: the same draws from the seeded generator in the same order, the
+# same schedule and the same update arithmetic.
+
+
+class _ReferenceAdam:
+    def __init__(self, params, learning_rate, b1=0.9, b2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.learning_rate, self.b1, self.b2, self.eps = learning_rate, b1, b2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.b1, self.b2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def _reference_train_pcn(images, cfg, pcn_cfg):
+    rng = np.random.default_rng(cfg.seed)
+    net = build_pcn(pcn_cfg, seed=cfg.seed)
+    opt = _ReferenceAdam(net.parameters(), cfg.learning_rate)
+    history = []
+    for epoch in range(cfg.epochs):
+        opt.learning_rate = cfg.learning_rate * 0.5 ** (epoch // 20)
+        losses = []
+        for _ in range(cfg.steps_per_epoch):
+            noisy_batch = np.empty((cfg.batch_size, 1, cfg.patch_size, cfg.patch_size))
+            target_batch = np.empty((cfg.batch_size, 3, cfg.patch_size, cfg.patch_size))
+            for b in range(cfg.batch_size):
+                clean = sample_clean_patch(images, cfg.patch_size, rng)
+                target_batch[b] = normalize_stats(compute_stats(clean))
+                noisy_batch[b, 0] = add_awgn(clean, cfg.sigma, rng)
+            pred = net(Tensor(noisy_batch))
+            loss = pcn_loss(pred, Tensor(target_batch))
+            net.zero_grads()
+            loss.backward()
+            opt.step()
+            losses.append(loss.item())
+        history.append(float(np.mean(losses)))
+    return net, history
+
+
+def _reference_train_csdn(images, cfg, csdn_cfg, classifier, pcn=None):
+    hash_cfg = HashConfig()
+    rng = np.random.default_rng(cfg.seed)
+    net = build_csdn(csdn_cfg, seed=cfg.seed)
+    opt = _ReferenceAdam(net.parameters(), cfg.learning_rate)
+    history = []
+    for epoch in range(cfg.epochs):
+        opt.learning_rate = cfg.learning_rate * 0.5 ** (epoch // 20)
+        losses = []
+        for _ in range(cfg.steps_per_epoch):
+            clean_batch = np.empty((cfg.batch_size, 1, cfg.patch_size, cfg.patch_size))
+            noisy_batch = np.empty_like(clean_batch)
+            class_batch = (
+                np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size), dtype=np.int64)
+                if csdn_cfg.use_csconv
+                else None
+            )
+            for b in range(cfg.batch_size):
+                clean = sample_clean_patch(images, cfg.patch_size, rng)
+                noisy = add_awgn(clean, cfg.sigma, rng)
+                clean_batch[b, 0] = clean
+                noisy_batch[b, 0] = noisy
+                if class_batch is not None:
+                    cmap = classify_for_denoiser(noisy, clean, classifier, pcn, hash_cfg)
+                    class_batch[b] = cmap.indices
+            pred = net(Tensor(noisy_batch), class_batch)
+            loss = csdn_loss(pred, Tensor(clean_batch))
+            net.zero_grads()
+            loss.backward()
+            opt.step()
+            losses.append(loss.item())
+        history.append(float(np.mean(losses)))
+    return net, history
+
+
+# (stage, csdn config overrides, classifier, train config overrides); the
+# plain EDSR run takes one step per epoch across the halving at epoch 20
+LOOP_CASES = {
+    "pcn": ("pcn", None, None, {}),
+    "cs-edsr-pcn": ("csdn", {}, "pcn", {}),
+    "cs-edsr-raisr-noisy": ("csdn", {}, "raisr-noisy", {}),
+    "cs-edsr-raisr-clean": ("csdn", {}, "raisr-clean", {}),
+    "cs-carn": ("csdn", {"arch": "carn"}, "raisr-noisy", {}),
+    "edsr-plain": ("csdn", {"use_csconv": False, "num_classes": 1}, "raisr-noisy",
+                   {"epochs": 21, "steps_per_epoch": 1}),
+}
+
+
+class TestTrainingLoop:
+    @pytest.mark.parametrize("case", list(LOOP_CASES))
+    def test_matches_reference_loop_bit_for_bit(self, micro_images, case):
+        stage, csdn_kw, classifier, cfg_kw = LOOP_CASES[case]
+        cfg = micro_train_cfg(**{"epochs": 3, "steps_per_epoch": 3, **cfg_kw})
+        if stage == "pcn":
+            net, history = train_pcn(micro_images, cfg, micro_pcn_cfg())
+            ref, ref_history = _reference_train_pcn(micro_images, cfg, micro_pcn_cfg())
+        else:
+            pcn = None
+            if classifier == "pcn":
+                pcn, _ = train_pcn(micro_images, micro_train_cfg(epochs=1, seed=5),
+                                   micro_pcn_cfg())
+            csdn_cfg = micro_csdn_cfg(**csdn_kw)
+            net, history = train_csdn(micro_images, cfg, csdn_cfg,
+                                      classifier=classifier, pcn=pcn)
+            ref, ref_history = _reference_train_csdn(micro_images, cfg, csdn_cfg,
+                                                     classifier, pcn)
+        assert len(history) == cfg.epochs
+        assert history == ref_history
+        named, ref_named = list(net.named_parameters()), list(ref.named_parameters())
+        assert [n for n, _ in named] == [n for n, _ in ref_named]
+        for (name, p), (_, q) in zip(named, ref_named):
+            assert np.array_equal(p.data, q.data), name
+
+    def test_step_decay_schedule(self, micro_images, monkeypatch):
+        rates = []
+
+        class RecordingAdam(Adam):
+            def step(self):
+                rates.append(self.learning_rate)
+                super().step()
+
+        monkeypatch.setattr(pipeline, "Adam", RecordingAdam)
+        cfg = micro_train_cfg(epochs=41, steps_per_epoch=1, batch_size=1,
+                              patch_size=16, learning_rate=1e-4)
+        train_pcn(micro_images, cfg, micro_pcn_cfg())
+        assert len(rates) == 41
+        assert [rates[e] for e in (0, 19, 20, 39, 40)] == [1e-4, 1e-4, 5e-5, 5e-5, 2.5e-5]
