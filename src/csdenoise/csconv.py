@@ -90,11 +90,6 @@ class FilterBank:
     def kernel_size(self) -> int:
         return self.kernels.shape[2]
 
-    def class_kernel(self, index: int) -> np.ndarray:
-        """Weights of class ``index`` (1-based) as (C_out, C_in, K, K)."""
-        c = self.out_channels
-        return self.kernels.data[(index - 1) * c : index * c]
-
     def class_bias(self, index: int) -> np.ndarray | None:
         if self.biases is None:
             return None
@@ -224,7 +219,7 @@ def _gather(rows, idx, block):
     return np.take(rows, idx, axis=0, out=block, mode="clip").reshape(len(idx), -1)
 
 
-def _backward(grad_out, rows, corner, taps, plan, bank, need_input_grad=True):
+def _backward(grad_out, rows, corner, taps, plan, bank, need_input_grad):
     """(grad_q, grad_kernels, grad_biases), regathering each chunk's patches."""
     n, c_out, h, w = grad_out.shape
     m, c, k = bank.num_classes, bank.in_channels, bank.kernel_size
@@ -265,7 +260,8 @@ def csconv_forward(q: Tensor, classes, bank: FilterBank) -> Tensor:
 
     Chooses the kernel (and bias) of ``classes[pixel]`` at every output
     location; zero padding keeps spatial extents. ``classes`` is anything
-    ``dispatch_plan`` accepts.
+    ``dispatch_plan`` accepts. Kernels of classes absent from the map get
+    exactly zero gradient.
     """
     n, c_in, h, w = q.shape
     if c_in != bank.in_channels:
@@ -301,23 +297,6 @@ def csconv_forward(q: Tensor, classes, bank: FilterBank) -> Tensor:
             bank.biases._accumulate(gb)
 
     return _result(out, tuple(parents), bw)
-
-
-def csconv_backward(grad_out, q: Tensor, classes, bank: FilterBank):
-    """Standalone adjoint: returns (grad_q, grad_kernels, grad_biases).
-
-    Kernel stacks of classes absent from the map receive exactly zero.
-    """
-    n, c_in, h, w = q.shape
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (n, bank.out_channels, h, w):
-        raise ShapeError(
-            f"grad_out {grad_out.shape} does not match output "
-            f"({n},{bank.out_channels},{h},{w})"
-        )
-    plan = dispatch_plan(classes, n, h, w, bank.num_classes)
-    img, pix = np.divmod(plan.order, h * w)
-    return _backward(grad_out, *_patch_source(q.data, img, pix, bank.kernel_size), plan, bank)
 
 
 class CsConv2d(Module):

@@ -151,46 +151,51 @@ def avg_downsample2x(x: Tensor) -> Tensor:
 
     def bw(g):
         if x.requires_grad:
-            x._accumulate(np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25)
+            gx = np.empty_like(x.data)
+            gx.reshape(n, c, h // 2, 2, w // 2, 2)[...] = (0.25 * g)[:, :, :, None, :, None]
+            x._accumulate(gx)
 
     return _result(out, (x,), bw)
 
 
-def _upsample_indices(length: int):
-    """Half-pixel-centered 2x sample positions with edge clamping."""
-    src = (np.arange(2 * length) + 0.5) / 2.0 - 0.5
-    i0 = np.floor(src).astype(np.int64)
-    frac = src - i0
-    lo = np.clip(i0, 0, length - 1)
-    hi = np.clip(i0 + 1, 0, length - 1)
-    return lo, hi, frac
+def _upsample_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    """Half-pixel-centered 2x along ``axis`` with clamped edges:
+    out[2i] = .25 x[i-1] + .75 x[i] and out[2i+1] = .75 x[i] + .25 x[i+1]."""
+    shape = list(x.shape)
+    shape[axis] *= 2
+    out = np.empty(shape)
+    xm, om = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    q, t = 0.25 * xm, 0.75 * xm
+    np.add(q[:1], t[:1], out=om[:1])
+    np.add(q[:-1], t[1:], out=om[2::2])
+    np.add(t[:-1], q[1:], out=om[1:-1:2])
+    np.add(t[-1:], q[-1:], out=om[-1:])
+    return out
 
 
-def _scatter_axis(g: np.ndarray, idx: np.ndarray, length: int, axis: int) -> np.ndarray:
+def _upsample_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
+    """Adjoint of ``_upsample_axis``. Source i gets ``lo + hi``: ``lo`` sums
+    its left-tap terms (outputs 2i+1, 2i+2) and ``hi`` its right-tap terms
+    (outputs 2i-1, 2i), each in output order, with the clamped output 0
+    first in lo[0] and the clamped last output last in hi[-1]. That is the
+    addition order of a sequential scatter-add, so the sums round alike."""
     gm = np.moveaxis(g, axis, 0)
-    out = np.zeros((length,) + gm.shape[1:])
-    np.add.at(out, idx, gm)
-    return np.moveaxis(out, 0, axis)
+    even, odd = gm[0::2], gm[1::2]
+    lo, hi = 0.75 * odd, 0.75 * even
+    lo[:1] += 0.25 * even[:1]
+    lo[:-1] += 0.25 * even[1:]
+    hi[1:] += 0.25 * odd[:-1]
+    hi[-1:] += 0.25 * odd[-1:]
+    lo += hi
+    return np.moveaxis(lo, 0, axis)
 
 
 def bilinear_upsample2x(x: Tensor) -> Tensor:
-    n, c, h, w = x.shape
-    hlo, hhi, hf = _upsample_indices(h)
-    wlo, whi, wf = _upsample_indices(w)
-    hf_col = hf.reshape(1, 1, -1, 1)
-    wf_row = wf.reshape(1, 1, 1, -1)
-
-    rows = (1.0 - hf_col) * x.data[:, :, hlo, :] + hf_col * x.data[:, :, hhi, :]
-    out = (1.0 - wf_row) * rows[:, :, :, wlo] + wf_row * rows[:, :, :, whi]
+    out = _upsample_axis(_upsample_axis(x.data, 2), 3)
 
     def bw(g):
-        if not x.requires_grad:
-            return
-        grows = _scatter_axis((1.0 - wf_row) * g, wlo, w, 3)
-        grows += _scatter_axis(wf_row * g, whi, w, 3)
-        gx = _scatter_axis((1.0 - hf_col) * grows, hlo, h, 2)
-        gx += _scatter_axis(hf_col * grows, hhi, h, 2)
-        x._accumulate(gx)
+        if x.requires_grad:
+            x._accumulate(_upsample_axis_adjoint(_upsample_axis_adjoint(g, 3), 2))
 
     return _result(out, (x,), bw)
 
@@ -233,14 +238,16 @@ def reflect_pad2d(x: Tensor, pad_h: int, pad_w: int) -> Tensor:
     n, c, h, w = x.shape
     if pad_h >= h or pad_w >= w:
         raise ShapeError(f"reflect pad ({pad_h},{pad_w}) too large for {h}x{w}")
-    idx_h = np.pad(np.arange(h), (0, pad_h), mode="reflect")
-    idx_w = np.pad(np.arange(w), (0, pad_w), mode="reflect")
-    out = x.data[:, :, idx_h, :][:, :, :, idx_w]
+    out = np.pad(x.data, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), mode="reflect")
 
     def bw(g):
         if x.requires_grad:
-            gx = _scatter_axis(g, idx_w, w, 3)
-            x._accumulate(_scatter_axis(gx, idx_h, h, 2))
+            # pad < size: each reflected sample lands on a distinct source
+            gx = g[:, :, :, :w].copy()
+            gx[:, :, :, w - 1 - pad_w : w - 1] += g[:, :, :, : w - 1 : -1]
+            gh = gx[:, :, :h].copy()
+            gh[:, :, h - 1 - pad_h : h - 1] += gx[:, :, : h - 1 : -1]
+            x._accumulate(gh)
 
     return _result(out, (x,), bw)
 

@@ -62,6 +62,8 @@ class HashConfig:
                 f"{self.coherence_bins - 1} thresholds"
             )
         for ts in (self.strength_thresholds, self.coherence_thresholds):
+            if not all(np.isfinite(ts)):
+                raise ConfigError(f"thresholds must be finite: {ts}")
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ConfigError(f"thresholds must ascend strictly: {ts}")
         if any(t <= 0 or t >= 1 for t in self.coherence_thresholds):
@@ -93,12 +95,6 @@ def gaussian_1d(size: int, sigma: float) -> np.ndarray:
     x = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-0.5 * (x / sigma) ** 2)
     return g / g.sum()
-
-
-def gaussian_window(size: int = DEFAULT_WINDOW, sigma: float = DEFAULT_SIGMA_W) -> np.ndarray:
-    """Separable 2-D Gaussian, the outer product of ``gaussian_1d``; sums to 1."""
-    g = gaussian_1d(size, sigma)
-    return np.outer(g, g)
 
 
 def filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:

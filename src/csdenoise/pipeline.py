@@ -46,6 +46,7 @@ class TrainConfig:
             )
         if min(self.batch_size, self.patch_size, self.epochs, self.steps_per_epoch) < 1:
             raise ConfigError("batch/patch/epochs/steps must all be >= 1")
+        _check_seed(self.seed)
 
 
 # -- data ----------------------------------------------------------------------
@@ -54,6 +55,11 @@ class TrainConfig:
 def _check_sigma(sigma: float):
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
+
+
+def _check_seed(seed: int):
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def add_awgn(img: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -240,6 +246,7 @@ def evaluate(net, images, sigma: float, seed: int = 0, classifier: str = "raisr-
     ``net=None`` scores the identity denoiser (output = noisy input).
     Returns (per-image row dicts, summary dict with mean metrics).
     """
+    _check_seed(seed)
     images = _check_images(images)
     hash_cfg = hash_cfg if hash_cfg is not None else HashConfig()
     if net is not None:

@@ -171,6 +171,47 @@ class TestDenoiseAndEval:
         assert not out.exists()
 
 
+class TestSeedAndThresholds:
+    def test_train_pcn_negative_seed_exits_two(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "pcn.model"
+        rc = run_cli(["train-pcn", "--data", str(data_dir), "--out", str(out),
+                      "--seed", "-1", "--epochs", "1", "--steps-per-epoch", "1",
+                      "--batch-size", "1", "--patch-size", "16",
+                      "--base-channels", "4", "--num-scales", "2"])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_csdn_negative_seed_exits_two(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "csdn.model"
+        rc = run_cli(["train-csdn", "--data", str(data_dir), "--out", str(out),
+                      "--seed", "-1", "--epochs", "1", "--steps-per-epoch", "1",
+                      "--batch-size", "1", "--patch-size", "16",
+                      "--num-blocks", "1", "--num-features", "4"])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_negative_seed_exits_two(self, tmp_path, data_dir, trained, capsys):
+        pcn, csdn = trained
+        report = tmp_path / "report.csv"
+        rc = run_cli(["eval", "--data", str(data_dir), "--seed", "-1",
+                      "--pcn", str(pcn), "--csdn", str(csdn),
+                      "--report", str(report)])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_classify_non_finite_threshold_exits_two(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "m.pgm"
+        rc = run_cli(["classify", "--in", str(data_dir / "img0.pgm"), "--raisr",
+                      "--out", str(out), "--strength-thresholds", "nan 0.001"])
+        assert rc == 2
+        assert "thresholds must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.iterdir())
+
+
 class TestFlops:
     def test_csdn_report_includes_classifier_line(self, trained, capsys):
         _, csdn = trained

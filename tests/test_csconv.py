@@ -11,7 +11,6 @@ from csdenoise.csconv import (
     CsConv2d,
     DispatchPlan,
     FilterBank,
-    csconv_backward,
     csconv_forward,
     dispatch_plan,
 )
@@ -25,6 +24,24 @@ def random_bank(rng, m=5, c_out=4, c_in=3, k=3, bias=True):
     return FilterBank.from_stacks(stacks, biases=biases)
 
 
+def class_kernel(bank, index):
+    """Weights of class ``index`` (1-based) as (C_out, C_in, K, K)."""
+    c = bank.out_channels
+    return bank.kernels.data[(index - 1) * c : index * c]
+
+
+def csconv_backward(grad_out, q, classes, bank):
+    """(grad_q, grad_kernels, grad_biases) of sum(output * grad_out), from
+    backward() through csconv_forward on fresh copies of q and the bank."""
+    fresh = FilterBank(
+        Tensor(bank.kernels.data.copy(), requires_grad=True), bank.num_classes,
+        None if bank.biases is None else Tensor(bank.biases.data.copy(), requires_grad=True),
+    )
+    qt = Tensor(q.data.copy(), requires_grad=True)
+    (csconv_forward(qt, classes, fresh) * Tensor(grad_out)).sum().backward()
+    return qt.grad, fresh.kernels.grad, None if fresh.biases is None else fresh.biases.grad
+
+
 class TestForward:
     def test_uniform_map_equals_conv(self, rng):
         bank = random_bank(rng)
@@ -34,7 +51,7 @@ class TestForward:
             got = csconv_forward(q, classes, bank).data
             ref = F.conv2d(
                 Tensor(q.data),
-                Tensor(bank.class_kernel(i)),
+                Tensor(class_kernel(bank, i)),
                 Tensor(bank.class_bias(i).reshape(1, -1, 1, 1)),
             ).data
             assert np.max(np.abs(got - ref)) < 1e-12
@@ -168,6 +185,10 @@ class TestBackward:
         assert np.max(np.abs(gq - q.grad)) < 1e-12
         assert np.max(np.abs(gk - bank.kernels.grad)) < 1e-12
         assert np.max(np.abs(gb - bank.biases.grad)) < 1e-12
+        _, ref_gq, ref_gk, ref_gb = per_pixel_csconv(qv, classes, bank, gout)
+        assert np.max(np.abs(gq - ref_gq)) < 1e-12
+        assert np.max(np.abs(gk - ref_gk)) < 1e-12
+        assert np.max(np.abs(gb - ref_gb)) < 1e-12
 
     def test_locality_of_credit(self, rng):
         # perturbing one class's weights only moves pixels of that class
@@ -199,7 +220,7 @@ def per_pixel_csconv(x, classes, bank, grad_out):
         for y in range(h):
             for xx in range(w):
                 i = int(cls[b, y, xx])
-                kern = bank.class_kernel(i)
+                kern = class_kernel(bank, i)
                 patch = xp[b, :, y : y + k, xx : xx + k]
                 g = grad_out[b, :, y, xx]
                 out[b, :, y, xx] = np.tensordot(kern, patch, axes=3)

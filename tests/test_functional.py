@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csdenoise import functional as F
-from csdenoise.autodiff import Tensor
+from csdenoise.autodiff import Tensor, _result
 from csdenoise.errors import ConfigError, ShapeError
 from helpers import fd_worst_rel_err
 
@@ -242,6 +245,125 @@ class TestResampling:
         w2 = Tensor(rng.standard_normal((2, 2, 3, 2)))
         err = fd_worst_rel_err(lambda: (F.avg_downsample2x(y) * w2).sum(), [y])
         assert err < 1e-4
+
+
+# -- references: the index-gather resampling and its np.add.at adjoints -------
+
+
+def ref_upsample_indices(length):
+    src = (np.arange(2 * length) + 0.5) / 2.0 - 0.5
+    i0 = np.floor(src).astype(np.int64)
+    frac = src - i0
+    lo = np.clip(i0, 0, length - 1)
+    hi = np.clip(i0 + 1, 0, length - 1)
+    return lo, hi, frac
+
+
+def ref_scatter_axis(g, idx, length, axis):
+    gm = np.moveaxis(g, axis, 0)
+    out = np.zeros((length,) + gm.shape[1:])
+    np.add.at(out, idx, gm)
+    return np.moveaxis(out, 0, axis)
+
+
+def ref_bilinear_upsample2x(x):
+    n, c, h, w = x.shape
+    hlo, hhi, hf = ref_upsample_indices(h)
+    wlo, whi, wf = ref_upsample_indices(w)
+    hf_col = hf.reshape(1, 1, -1, 1)
+    wf_row = wf.reshape(1, 1, 1, -1)
+    rows = (1.0 - hf_col) * x.data[:, :, hlo, :] + hf_col * x.data[:, :, hhi, :]
+    out = (1.0 - wf_row) * rows[:, :, :, wlo] + wf_row * rows[:, :, :, whi]
+
+    def bw(g):
+        if x.requires_grad:
+            grows = ref_scatter_axis((1.0 - wf_row) * g, wlo, w, 3)
+            grows += ref_scatter_axis(wf_row * g, whi, w, 3)
+            gx = ref_scatter_axis((1.0 - hf_col) * grows, hlo, h, 2)
+            gx += ref_scatter_axis(hf_col * grows, hhi, h, 2)
+            x._accumulate(gx)
+
+    return _result(out, (x,), bw)
+
+
+def ref_reflect_pad2d(x, pad_h, pad_w):
+    n, c, h, w = x.shape
+    idx_h = np.pad(np.arange(h), (0, pad_h), mode="reflect")
+    idx_w = np.pad(np.arange(w), (0, pad_w), mode="reflect")
+    out = x.data[:, :, idx_h, :][:, :, :, idx_w]
+
+    def bw(g):
+        if x.requires_grad:
+            gx = ref_scatter_axis(g, idx_w, w, 3)
+            x._accumulate(ref_scatter_axis(gx, idx_h, h, 2))
+
+    return _result(out, (x,), bw)
+
+
+def ref_avg_downsample2x(x):
+    n, c, h, w = x.shape
+    out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25)
+
+    return _result(out, (x,), bw)
+
+
+def output_and_grad(op, xv, gv):
+    """op(x) and the gradient of sum(op(x) * gv) for x."""
+    x = Tensor(xv, requires_grad=True)
+    out = op(x)
+    (out * Tensor(gv)).sum().backward()
+    return out.data, x.grad
+
+
+def resampling_cases(draw):
+    """Each layer with its reference, on an (N, C, H, W) of 1..3 x 1..3 x
+    1..9 x 1..9 and reflect pads 0..size-1."""
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    ph, pw = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    return [
+        ((n, c, h, w), (n, c, 2 * h, 2 * w), F.bilinear_upsample2x, ref_bilinear_upsample2x),
+        ((n, c, h, w), (n, c, h + ph, w + pw),
+         lambda x: F.reflect_pad2d(x, ph, pw), lambda x: ref_reflect_pad2d(x, ph, pw)),
+        ((n, c, 2 * h, 2 * w), (n, c, h, w), F.avg_downsample2x, ref_avg_downsample2x),
+    ]
+
+
+class TestResamplingMatchesReference:
+    @given(st.data())
+    def test_equal_to_reference_on_drawn_values(self, data):
+        values = st.floats(-1e3, 1e3, allow_subnormal=False)
+        for shape, out_shape, op, ref in resampling_cases(data.draw):
+            xv = data.draw(arrays(np.float64, shape, elements=values))
+            gv = data.draw(arrays(np.float64, out_shape, elements=values))
+            for got, want in zip(output_and_grad(op, xv, gv), output_and_grad(ref, xv, gv)):
+                assert np.array_equal(got, want)
+
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_bytes_equal_to_reference_on_normal_values(self, data, seed):
+        rng = np.random.default_rng(seed)
+        for shape, out_shape, op, ref in resampling_cases(data.draw):
+            xv, gv = rng.standard_normal(shape), rng.standard_normal(out_shape)
+            for got, want in zip(output_and_grad(op, xv, gv), output_and_grad(ref, xv, gv)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_pcn_training_unchanged_by_reference_upsample(self, monkeypatch, micro_images):
+        from csdenoise.pcn import PcnConfig
+        from csdenoise.pipeline import TrainConfig, train_pcn
+
+        cfg = TrainConfig(batch_size=2, patch_size=16, epochs=2, steps_per_epoch=2,
+                          learning_rate=1e-3)
+        pcn_cfg = PcnConfig(base_channels=4, num_scales=3, residual_blocks=1)
+        net, history = train_pcn(micro_images, cfg, pcn_cfg)
+        monkeypatch.setattr(F, "bilinear_upsample2x", ref_bilinear_upsample2x)
+        ref_net, ref_history = train_pcn(micro_images, cfg, pcn_cfg)
+        assert history == ref_history
+        for (name, p), (_, q) in zip(net.named_parameters(), ref_net.named_parameters()):
+            assert p.data.tobytes() == q.data.tobytes(), name
 
 
 class TestL1Loss:

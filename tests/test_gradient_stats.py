@@ -9,7 +9,7 @@ from csdenoise.gradient_stats import (
     compute_stats,
     denormalize_stats,
     eigen_stats,
-    gaussian_window,
+    gaussian_1d,
     hash_classes,
     image_gradients,
     normalize_stats,
@@ -59,7 +59,8 @@ class TestStructureTensor:
         gy = rng.standard_normal((20, 22))
         window, sigma = 9, 2.0
         a, b, d = structure_tensor(gx, gy, window, sigma)
-        w2d = gaussian_window(window, sigma)
+        g = gaussian_1d(window, sigma)
+        w2d = np.outer(g, g)
         half = window // 2
         pgx = np.pad(gx, half, mode="edge")
         pgy = np.pad(gy, half, mode="edge")
@@ -207,6 +208,15 @@ class TestHashClasses:
             HashConfig(strength_thresholds=(0.2, 0.1))
         with pytest.raises(ConfigError):
             HashConfig(coherence_thresholds=(0.5, 1.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_thresholds_rejected(self, bad):
+        with pytest.raises(ConfigError, match="thresholds must be finite"):
+            HashConfig(strength_thresholds=(bad, 0.001))
+        with pytest.raises(ConfigError, match="thresholds must be finite"):
+            HashConfig(coherence_thresholds=(0.25, bad))
+        with pytest.raises(ConfigError, match="thresholds must be finite"):
+            HashConfig(strength_bins=2, strength_thresholds=(bad,))
 
 
 class TestComputeClassMap:

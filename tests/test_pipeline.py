@@ -83,6 +83,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="learning rate must be finite"):
             TrainConfig(learning_rate=rate)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+
 
 class TestAugment:
     def test_identity_element(self, rng):
@@ -243,6 +247,10 @@ class TestEvaluate:
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigError):
             evaluate(None, [], 25.0)
+
+    def test_negative_seed_rejected(self, toy_images):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            evaluate(None, toy_images[:1], 25.0, seed=-1)
 
     def test_report_files(self, tmp_path, toy_images):
         rows, summary = evaluate(None, toy_images[:2], 15.0, seed=1)
