@@ -2,8 +2,10 @@
 
 Every tensor is (batch, channels, height, width) in 64-bit floats. Ops
 record a backward closure on their output; ``Tensor.backward`` walks the
-graph in reverse topological order. Gradients accumulate across backward
-calls until explicitly cleared, so callers zero grads before each step.
+graph in reverse topological order. Gradients are read-only, possibly
+shared arrays: an interior node's grad lives until its closure has run;
+leaf grads accumulate across calls until cleared, so callers zero grads
+before each step.
 
 A graph is single-writer: build and differentiate it from one thread.
 Separate graphs share no state, so concurrent read-only inference on
@@ -74,10 +76,6 @@ class Tensor:
             data = flat.reshape(shape)
         return cls(data, requires_grad=requires_grad)
 
-    @classmethod
-    def scalar(cls, value: float) -> "Tensor":
-        return cls(np.full((1, 1, 1, 1), float(value)))
-
     # -- bookkeeping -------------------------------------------------------
 
     @property
@@ -98,15 +96,18 @@ class Tensor:
     # -- graph -------------------------------------------------------------
 
     def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        if grad.shape != self.data.shape:
+            raise ShapeError(f"gradient {grad.shape} does not match tensor {self.shape}")
+        self.grad = grad if self.grad is None else self.grad + grad
+        self.grad.flags.writeable = False
 
     def backward(self):
         """Populate ``grad`` on every reachable tensor that requires it.
 
-        The loss must be scalar-shaped (1,1,1,1). Intermediate node grads
-        are rebuilt per call; leaf grads (parameters, inputs) accumulate.
+        The loss must be scalar-shaped (1,1,1,1); its grad is left at ones.
+        A node adopts its first gradient and adds later ones out of place.
+        Interior grads are released (``None``) once their closure has run;
+        leaf grads (parameters, inputs) accumulate.
         """
         if self.data.shape != (1, 1, 1, 1):
             raise ContractError(f"backward needs a (1,1,1,1) loss, got {self.shape}")
@@ -121,18 +122,18 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
+            if node._backward is not None:  # interior grads start empty
+                node.grad = None
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        # interior nodes get fresh buffers; leaves keep accumulating
-        for node in order:
-            if node._backward is not None:
-                node.grad = np.zeros_like(node.data)
         self._accumulate(np.ones((1, 1, 1, 1)))
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
 
     # -- arithmetic ---------------------------------------------------------
 

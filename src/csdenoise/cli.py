@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csdn import CsdnConfig, csdn_forward
+from .csdn import CsdnConfig
 from .errors import ConfigError, CsdError
 from .flops import count_flops
 from .gradient_stats import HashConfig, compute_class_map, normalize_stats
@@ -24,7 +24,7 @@ from .pcn import PcnConfig, build_pcn, pcn_class_map
 from .pipeline import (
     CLASSIFIER_MODES,
     TrainConfig,
-    check_class_count,
+    denoise_image,
     evaluate,
     format_report,
     train_csdn,
@@ -146,14 +146,8 @@ def _cmd_classify(args) -> int:
 def _cmd_denoise(args) -> int:
     pcn, hash_cfg = load_kind(args.pcn, "pcn")
     csdn, _ = load_kind(args.csdn, "csdn")
-    check_class_count(hash_cfg, csdn.config)
     img = read_image(args.infile)
-    classes = None
-    if csdn.config.use_csconv:
-        _, cmap = pcn_class_map(pcn, img, hash_cfg)
-        classes = cmap.indices
-    restored = np.clip(csdn_forward(csdn, img, classes), 0.0, 1.0)
-    write_image(restored, args.out)
+    write_image(denoise_image(csdn, img, "pcn", pcn, hash_cfg), args.out)
     print(f"wrote denoised image: {args.out}")
     return 0
 

@@ -163,8 +163,12 @@ def hash_classes(stats: GradientStatsMap, cfg: HashConfig) -> ClassMap:
     """Quantize stats into 1..M: angular bins x strength bins x coherence bins.
 
     Strength/coherence bin = count of thresholds strictly below the value,
-    so a value exactly at a threshold stays in the lower bin.
+    so a value exactly at a threshold stays in the lower bin. Non-finite
+    stats raise ``ConfigError`` rather than land silently in an edge bin.
     """
+    fields = (stats.orientation, stats.strength, stats.coherence)
+    if not all(np.isfinite(f).all() for f in fields):
+        raise ConfigError("gradient statistics hold non-finite values")
     q_phi = np.floor(stats.orientation / (np.pi / cfg.orientation_bins)).astype(np.int64)
     q_phi = np.clip(q_phi, 0, cfg.orientation_bins - 1)
     q_lam = np.searchsorted(

@@ -236,7 +236,18 @@ def train_csdn(images, cfg: TrainConfig, csdn_cfg: CsdnConfig | None = None,
     return net, _fit(net, images, cfg, step_loss)
 
 
-# -- evaluation --------------------------------------------------------------------
+# -- inference and evaluation ------------------------------------------------------
+
+
+def denoise_image(net, noisy: np.ndarray, classifier: str = "raisr-noisy", pcn=None,
+                  hash_cfg: HashConfig | None = None, clean: np.ndarray | None = None):
+    """Classify (for a class-specific net), denoise and clip one image to [0, 1]."""
+    hash_cfg = hash_cfg if hash_cfg is not None else HashConfig()
+    check_class_count(hash_cfg, net.config)
+    classes = None
+    if net.config.use_csconv:
+        classes = classify_for_denoiser(noisy, clean, classifier, pcn, hash_cfg).indices
+    return np.clip(csdn_forward(net, noisy, classes), 0.0, 1.0)
 
 
 def evaluate(net, images, sigma: float, seed: int = 0, classifier: str = "raisr-noisy",
@@ -248,26 +259,15 @@ def evaluate(net, images, sigma: float, seed: int = 0, classifier: str = "raisr-
     """
     _check_seed(seed)
     images = _check_images(images)
-    hash_cfg = hash_cfg if hash_cfg is not None else HashConfig()
-    if net is not None:
-        check_class_count(hash_cfg, net.config)
     if names is None:
         names = [f"image{i:03d}" for i in range(len(images))]
     rng = np.random.default_rng(seed)
     rows = []
     for name, clean in zip(names, images):
         noisy = add_awgn(clean, sigma, rng)
-        if net is None:
-            restored = noisy
-        else:
-            classes = None
-            if net.config.use_csconv:
-                classes = classify_for_denoiser(
-                    noisy, clean, classifier, pcn, hash_cfg
-                ).indices
-            restored = csdn_forward(net, noisy, classes)
-        restored = np.clip(restored, 0.0, 1.0)
         noisy_clipped = np.clip(noisy, 0.0, 1.0)
+        restored = noisy_clipped if net is None else denoise_image(
+            net, noisy, classifier, pcn, hash_cfg, clean)
         rows.append(
             {
                 "image": name,

@@ -1,5 +1,7 @@
 """Shared numerical-check utilities for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 FD_STEP = 1e-5
@@ -54,3 +56,15 @@ def fd_worst_rel_err_params(net, build_loss, per_tensor=3, h=FD_STEP, seed=0):
             err = abs(grad[c] - fd) / max(abs(grad[c]), abs(fd), 1e-3)
             worst = max(worst, err)
     return worst
+
+
+def traced_bytes(fn):
+    """fn()'s result, with the bytes it still holds and its peak (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base

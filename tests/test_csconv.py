@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from csdenoise.csconv import (
     dispatch_plan,
 )
 from csdenoise.errors import DispatchError, ShapeError
-from helpers import fd_worst_rel_err
+from helpers import fd_worst_rel_err, traced_bytes
 
 
 def random_bank(rng, m=5, c_out=4, c_in=3, k=3, bias=True):
@@ -331,25 +329,13 @@ class TestDispatch:
             csconv_forward(Tensor(rng.random((1, 3, 4, 4))), plan, random_bank(rng, m=5))
 
 
-def _traced_bytes(fn):
-    """fn()'s result, with the bytes it still holds and its peak (tracemalloc)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, held - base, peak - base
-
-
 class TestMemory:
     @pytest.mark.parametrize("bias", [True, False])
     def test_recorded_forward_keeps_no_patch_matrix(self, rng, bias):
         bank = random_bank(rng, m=5, c_out=16, c_in=16, k=3, bias=bias)
         x = Tensor(rng.standard_normal((2, 16, 32, 32)), requires_grad=True)
         classes = rng.integers(1, 6, size=(2, 32, 32))
-        out, held, peak = _traced_bytes(lambda: csconv_forward(x, classes, bank))
+        out, held, peak = traced_bytes(lambda: csconv_forward(x, classes, bank))
         assert out._backward is not None
         # output plus what backward keeps, and the transient high-water mark;
         # a kept (N*H*W, C*K*K) patch matrix alone is 9x the input
@@ -361,7 +347,7 @@ class TestMemory:
         x = Tensor(rng.standard_normal((1, 16, 256, 256)))
         classes = rng.integers(1, 73, size=(256, 256))
         with no_grad():
-            out, _, peak = _traced_bytes(lambda: csconv_forward(x, classes, bank))
+            out, _, peak = traced_bytes(lambda: csconv_forward(x, classes, bank))
         assert out._backward is None
         assert peak < 3.5 * x.data.nbytes
 

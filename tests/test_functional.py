@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from csdenoise import functional as F
 from csdenoise.autodiff import Tensor, _result
 from csdenoise.errors import ConfigError, ShapeError
-from helpers import fd_worst_rel_err
+from helpers import fd_worst_rel_err, traced_bytes
 
 
 class TestConv2d:
@@ -156,17 +154,11 @@ class TestConv2dAgainstPerTapReference:
         x = Tensor(rng.standard_normal((2, 16, 32, 32)))
         k = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal((1, 16, 1, 1))) if with_bias else None
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = F.conv2d(x, k, b)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, held, peak = traced_bytes(lambda: F.conv2d(x, k, b))
         assert out._backward is not None
         # output plus what backward keeps, and the transient high-water mark
-        assert held - base < 3 * x.data.nbytes
-        assert peak - base < 6 * x.data.nbytes
+        assert held < 3 * x.data.nbytes
+        assert peak < 6 * x.data.nbytes
 
 
 class TestPrelu:

@@ -218,8 +218,24 @@ class TestHashClasses:
         with pytest.raises(ConfigError, match="thresholds must be finite"):
             HashConfig(strength_bins=2, strength_thresholds=(bad,))
 
+    @pytest.mark.parametrize("field", ["orientation", "strength", "coherence"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stats_rejected(self, field, bad):
+        fields = {f: np.zeros((2, 2)) for f in ("orientation", "strength", "coherence")}
+        fields[field][1, 0] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            hash_classes(GradientStatsMap(**fields), self.cfg())
+
 
 class TestComputeClassMap:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_image_rejected(self, toy_images):
+        # finite pixels whose squared gradients overflow to an infinite strength
+        img = toy_images[0][:32, :32] * 1e200
+        assert np.isfinite(img).all() and not np.isfinite(compute_stats(img).strength).all()
+        with pytest.raises(ConfigError, match="non-finite"):
+            compute_class_map(img)
+
     def test_constant_image_is_class_one(self):
         _, cmap = compute_class_map(np.full((16, 16), 0.5))
         assert np.all(cmap.indices == 1)

@@ -3,7 +3,7 @@ import pytest
 
 from csdenoise import pipeline
 from csdenoise.autodiff import Tensor
-from csdenoise.csdn import CsdnConfig, build_csdn, csdn_loss
+from csdenoise.csdn import CsdnConfig, build_csdn, csdn_forward, csdn_loss
 from csdenoise.errors import ConfigError, CsdError, ShapeError
 from csdenoise.gradient_stats import HashConfig, compute_stats, normalize_stats
 from csdenoise.optim import Adam
@@ -13,6 +13,7 @@ from csdenoise.pipeline import (
     add_awgn,
     augment_patch,
     classify_for_denoiser,
+    denoise_image,
     evaluate,
     format_report,
     sample_clean_patch,
@@ -271,6 +272,31 @@ class TestEvaluate:
                                  classifier="raisr-noisy")
         assert len(rows) == 2
         assert np.isfinite(summary["mean_psnr"])
+
+
+class TestDenoiseImage:
+    @pytest.fixture
+    def noisy(self, micro_images):
+        return add_awgn(micro_images[0], 25.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("classifier", ["pcn", "raisr-noisy", "raisr-clean"])
+    def test_classifies_then_denoises(self, micro_images, noisy, classifier):
+        pcn, net, hash_cfg = build_pcn(micro_pcn_cfg()), build_csdn(micro_csdn_cfg()), HashConfig()
+        out = denoise_image(net, noisy, classifier, pcn, hash_cfg, micro_images[0])
+        classes = classify_for_denoiser(noisy, micro_images[0], classifier, pcn, hash_cfg)
+        assert np.array_equal(out, np.clip(csdn_forward(net, noisy, classes.indices), 0.0, 1.0))
+
+    def test_plain_net_skips_classification(self, noisy):
+        net = build_csdn(micro_csdn_cfg(use_csconv=False, num_classes=1))
+        out = denoise_image(net, noisy, "pcn")  # no PCN given, none needed
+        assert np.array_equal(out, np.clip(csdn_forward(net, noisy), 0.0, 1.0))
+
+    def test_class_count_mismatch_rejected(self, micro_images, noisy):
+        net = build_csdn(micro_csdn_cfg(num_classes=8))
+        with pytest.raises(ConfigError, match="class-count mismatch"):
+            denoise_image(net, noisy)
+        with pytest.raises(ConfigError, match="class-count mismatch"):
+            evaluate(net, micro_images, 25.0)
 
 
 class TestNonFinite:
