@@ -5,7 +5,10 @@ record a backward closure on their output; ``Tensor.backward`` walks the
 graph in reverse topological order. Gradients are read-only, possibly
 shared arrays: an interior node's grad lives until its closure has run;
 leaf grads accumulate across calls until cleared, so callers zero grads
-before each step.
+before each step. A backward closure captures its parents, shapes and
+index bookkeeping, never an array its parents' ``.data`` can rebuild: it
+pads, masks and lays out again from ``.data`` when it runs. So mutating a
+recorded tensor's ``.data`` before ``backward()`` is unsupported.
 
 A graph is single-writer: build and differentiate it from one thread.
 Separate graphs share no state, so concurrent read-only inference on

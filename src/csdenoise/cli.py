@@ -68,9 +68,12 @@ def _resolve(args, key, default, cast=str):
     if explicit is not None:
         return explicit
     cfg = getattr(args, "_file_config", {})
-    if key in cfg:
+    if key not in cfg:
+        return default
+    try:
         return cast(cfg[key])
-    return default
+    except ValueError as exc:
+        raise ConfigError(f"config value {key} = {cfg[key]!r}: {exc}") from exc
 
 
 def _float_list(text: str):

@@ -15,9 +15,10 @@ columns in (tap, channel) order. Each segment is worked in chunks of
 reused buffer and one GEMM turns them into output rows, written straight to
 their raster positions.
 
-No K*K-sized patch matrix is kept for backward. It keeps the padded rows and
-the sorted corners and regathers each chunk's patches, the trade gradient
-checkpointing makes (Chen et al., 2016). Per chunk it adds ``g.T @ patches``
+No K*K-sized patch matrix is kept for backward, nor a padded copy: backward
+holds only the input tensor, the bank and the shared plan, pads the input
+again and regathers each chunk's patches, the trade gradient checkpointing
+makes (Chen et al., 2016). Per chunk it adds ``g.T @ patches``
 to the weight gradient and scatter-adds ``g @ W`` into a padded input
 gradient, one tap at a time, since no two pixels of a tap share a row. Sums
 run in class-sorted order, which is deterministic for a given map.
@@ -219,11 +220,13 @@ def _gather(rows, idx, block):
     return np.take(rows, idx, axis=0, out=block, mode="clip").reshape(len(idx), -1)
 
 
-def _backward(grad_out, rows, corner, taps, plan, bank, need_input_grad):
-    """(grad_q, grad_kernels, grad_biases), regathering each chunk's patches."""
+def _backward(grad_out, x, plan, bank, need_input_grad):
+    """(grad_q, grad_kernels, grad_biases) for input ``x``, padding it again
+    and regathering each chunk's patches."""
     n, c_out, h, w = grad_out.shape
     m, c, k = bank.num_classes, bank.in_channels, bank.kernel_size
     img, pix = np.divmod(plan.order, h * w)
+    rows, corner, taps = _patch_source(x, img, pix, k)
     go_rows = grad_out.reshape(n, c_out, h * w).transpose(0, 2, 1)  # a view, (N, H*W, C_out)
     wmat = _bank_matrix(bank)
     gkmat = np.zeros_like(wmat)
@@ -287,8 +290,7 @@ def csconv_forward(q: Tensor, classes, bank: FilterBank) -> Tensor:
         out_rows[img[lo:hi], pix[lo:hi]] = y
 
     def bw(grad):
-        gq, gk, gb = _backward(grad, rows, corner, taps, plan, bank,
-                               need_input_grad=q.requires_grad)
+        gq, gk, gb = _backward(grad, q.data, plan, bank, need_input_grad=q.requires_grad)
         if q.requires_grad:
             q._accumulate(gq)
         if bank.kernels.requires_grad:

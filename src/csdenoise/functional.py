@@ -10,8 +10,8 @@ that keeps the last tap in range, and flattened: tap (i, j) of the output
 at y*Wp + x then reads the contiguous slice at offset i*Wp + j. The 2r junk
 columns of each output row are dropped; backward pads the output gradient
 with zero junk columns, which makes the same slices its exact adjoint. No
-K*K-sized patch matrix is built: backward keeps only the padded input,
-about (1 + 2r/H)(1 + 2r/W) times the input.
+K*K-sized patch matrix is built, and backward keeps no padded copy: it pads
+its parent's data again when it runs, which costs one copy of the input.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ def _pad_flat(x: np.ndarray, r: int) -> np.ndarray:
     return xp.reshape(n, c, -1)
 
 
+def _tap_weights(kernel: np.ndarray) -> np.ndarray:
+    """(K*K, C_out, C_in/g): one contiguous matrix per tap, so matmul can hand it to BLAS."""
+    c_out, cpg, k, _ = kernel.shape
+    return np.ascontiguousarray(kernel.transpose(2, 3, 0, 1)).reshape(k * k, c_out, cpg)
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 1) -> Tensor:
     """Stride-1 zero-padded 2-D convolution, optionally grouped."""
     n, c_in, h, w = x.shape
@@ -63,9 +69,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 
     taps = [i * wp + j for i in range(k) for j in range(k)]
     groups_io = [(slice(g * opg, (g + 1) * opg), slice(g * cpg, (g + 1) * cpg))
                  for g in range(groups)]
-    xf = _pad_flat(x.data, r)
-    # one contiguous (C_out, C_in/g) matrix per tap, so matmul can hand it to BLAS
-    wt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1)).reshape(k * k, c_out, cpg)
+    xf, wt = _pad_flat(x.data, r), _tap_weights(kernel.data)
 
     acc = np.empty((n, c_out, span))
     tmp = np.empty((n, opg, span))
@@ -74,6 +78,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 
             np.matmul(wt[t, o], xf[:, i, off : off + span], out=tmp if t else acc[:, o])
             if t:
                 acc[:, o] += tmp
+    del xf, tmp  # backward pads x.data again; the output copy below is the peak
     out = acc.reshape(n, c_out, h, wp)[..., :w]
     out = np.ascontiguousarray(out) if bias is None else out + bias.data
 
@@ -82,6 +87,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 
     def bw(grad):
         # zero junk columns make every tap product below the exact adjoint
         go = np.pad(grad, ((0, 0), (0, 0), (0, 0), (0, 2 * r))).reshape(n, c_out, span)
+        xf, wt = _pad_flat(x.data, r), _tap_weights(kernel.data)
         gx = np.zeros_like(xf) if x.requires_grad else None
         gw = np.empty_like(wt) if kernel.requires_grad else None
         tmp = np.empty((n, cpg, span)) if x.requires_grad else None
@@ -107,13 +113,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
     def bw(g):
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(g * (x.data > 0))
 
-    return _result(np.where(mask, x.data, 0.0), (x,), bw)
+    return _result(np.where(x.data > 0, x.data, 0.0), (x,), bw)
 
 
 def prelu(x: Tensor, alpha: Tensor) -> Tensor:
@@ -123,10 +127,10 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
         raise ShapeError(
             f"alpha must have {c} channels or be shared, got {alpha.shape}"
         )
-    neg = x.data < 0
-    out = np.where(neg, alpha.data * x.data, x.data)
+    out = np.where(x.data < 0, alpha.data * x.data, x.data)
 
     def bw(g):
+        neg = x.data < 0
         if x.requires_grad:
             x._accumulate(g * np.where(neg, alpha.data, 1.0))
         if alpha.requires_grad:
@@ -274,14 +278,12 @@ def l1_loss(a: Tensor, b: Tensor) -> Tensor:
     """Mean absolute difference; subgradient at ties is 0."""
     if a.shape != b.shape:
         raise ShapeError(f"l1_loss: shape mismatch {a.shape} vs {b.shape}")
-    diff = a.data - b.data
-    n = diff.size
 
     def bw(g):
-        s = g.reshape(-1)[0] * np.sign(diff) / n
+        s = g.reshape(-1)[0] * np.sign(a.data - b.data) / a.data.size
         if a.requires_grad:
             a._accumulate(s)
         if b.requires_grad:
             b._accumulate(-s)
 
-    return _result(np.full((1, 1, 1, 1), np.abs(diff).mean()), (a, b), bw)
+    return _result(np.full((1, 1, 1, 1), np.abs(a.data - b.data).mean()), (a, b), bw)

@@ -129,9 +129,7 @@ def eigen_stats(a, b, d):
     angle in [0, pi) (0 on isotropic ties), and coherence is
     (sqrt(l1)-sqrt(l2))/(sqrt(l1)+sqrt(l2)) with 0/0 -> 0.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
+    a, b, d = (np.asarray(v, dtype=np.float64) for v in (a, b, d))
     half_tr = 0.5 * (a + d)
     half_diff = 0.5 * (a - d)
     disc = np.sqrt(half_diff * half_diff + b * b)
@@ -189,9 +187,10 @@ def hash_classes(stats: GradientStatsMap, cfg: HashConfig) -> ClassMap:
 def compute_stats(img: np.ndarray, window: int = DEFAULT_WINDOW,
                   sigma: float = DEFAULT_SIGMA_W) -> GradientStatsMap:
     """Gradient statistics of one image via structure-tensor eigenanalysis."""
-    gx, gy = image_gradients(img)
-    a, b, d = structure_tensor(gx, gy, window, sigma)
-    l1, _, angle, coherence = eigen_stats(a, b, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # hash_classes rejects non-finite
+        gx, gy = image_gradients(img)
+        a, b, d = structure_tensor(gx, gy, window, sigma)
+        l1, _, angle, coherence = eigen_stats(a, b, d)
     return GradientStatsMap(orientation=angle, strength=l1, coherence=coherence)
 
 

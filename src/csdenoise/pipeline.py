@@ -277,11 +277,8 @@ def evaluate(net, images, sigma: float, seed: int = 0, classifier: str = "raisr-
                 "ssim": ssim(restored, clean),
             }
         )
-    summary = {
-        "mean_psnr_noisy": float(np.mean([r["psnr_noisy"] for r in rows])),
-        "mean_psnr": float(np.mean([r["psnr"] for r in rows])),
-        "mean_ssim": float(np.mean([r["ssim"] for r in rows])),
-    }
+    summary = {f"mean_{key}": float(np.mean([r[key] for r in rows]))
+               for key in ("psnr_noisy", "psnr", "ssim")}
     return rows, summary
 
 

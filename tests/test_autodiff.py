@@ -309,6 +309,16 @@ class TestGradientLifetime:
             x._accumulate(np.ones((1, 1, 1, 1)))
         assert x.grad is None
 
+    def test_recorded_forward_memory(self, rng):
+        net = build_csdn(CsdnConfig(num_blocks=4, num_features=16, num_classes=4), seed=0)
+        x = rng.random((2, 1, 32, 32))
+        classes = rng.integers(1, 5, size=(2, 32, 32))
+        _, held, _ = traced_bytes(lambda: csdn_loss(net(Tensor(x), classes), Tensor(x)))
+        activation = 2 * 16 * 32 * 32 * 8
+        # closures rebuild padded copies and masks from their parents' data
+        # (keeping them held 29.7 activations)
+        assert held < 22 * activation
+
     def test_reverse_pass_memory(self, rng):
         # few classes, so the interior grads outweigh the filter bank's
         net = build_csdn(CsdnConfig(num_blocks=4, num_features=16, num_classes=4), seed=0)

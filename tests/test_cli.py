@@ -268,3 +268,15 @@ class TestConfigFile:
         rc = run_cli(["train-pcn", "--data", str(data_dir),
                       "--out", str(tmp_path / "m.model"), "--config", str(cfg)])
         assert rc == 2
+
+    @pytest.mark.parametrize("line", ["epochs = one", "sigma = x", "seed = 1.5",
+                                      "strength_thresholds = 0.1 x"])
+    def test_config_value_of_wrong_type_exits_two(self, tmp_path, data_dir, capsys, line):
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "m.model"
+        rc = run_cli(["train-pcn", "--data", str(data_dir), "--out", str(out),
+                      "--config", str(cfg)])
+        assert rc == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not out.exists()

@@ -342,6 +342,15 @@ class TestMemory:
         assert held < 3 * x.data.nbytes
         assert peak < 6 * x.data.nbytes
 
+    def test_recorded_forward_keeps_no_padded_rows(self, rng):
+        bank = random_bank(rng, m=4, c_out=16, c_in=16, k=3)
+        x = Tensor(rng.standard_normal((2, 16, 32, 32)), requires_grad=True)
+        plan = dispatch_plan(rng.integers(1, 5, size=(2, 32, 32)), 2, 32, 32, 4)
+        out, held, _ = traced_bytes(lambda: csconv_forward(x, plan, bank))
+        # backward pads x.data and re-derives the corners from the shared plan;
+        # kept padded rows alone are 1.13x the output
+        assert held < 1.2 * out.data.nbytes
+
     def test_inference_peak(self, rng):
         bank = random_bank(rng, m=72, c_out=16, c_in=16, k=3)
         x = Tensor(rng.standard_normal((1, 16, 256, 256)))

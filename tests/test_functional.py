@@ -160,6 +160,14 @@ class TestConv2dAgainstPerTapReference:
         assert held < 3 * x.data.nbytes
         assert peak < 6 * x.data.nbytes
 
+    def test_recorded_forward_keeps_no_padded_copy(self, rng):
+        x = Tensor(rng.standard_normal((2, 16, 32, 32)), requires_grad=True)
+        k = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((1, 16, 1, 1)), requires_grad=True)
+        out, held, _ = traced_bytes(lambda: F.conv2d(x, k, b))
+        # backward pads x.data again; a kept padded input alone is 1.16x
+        assert held < 1.2 * out.data.nbytes
+
 
 class TestPrelu:
     def test_positive_passthrough(self):

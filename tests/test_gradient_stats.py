@@ -228,7 +228,6 @@ class TestHashClasses:
 
 
 class TestComputeClassMap:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_image_rejected(self, toy_images):
         # finite pixels whose squared gradients overflow to an infinite strength
         img = toy_images[0][:32, :32] * 1e200
