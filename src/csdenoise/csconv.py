@@ -9,14 +9,14 @@ it to every CSConv layer, since all of them share the class map.
 
 A layer pads its input once, pixel-major, and views it as one row of C values
 per padded pixel, so a pixel's patch is the K*K whole rows at its corner row
-plus fixed tap offsets; the bank is reordered to match, (M, C_out, K*K*C) with
-columns in (tap, channel) order. Each segment is worked in chunks of
-``_CHUNK`` sorted pixels: ``np.take`` gathers a chunk's patches into a small
-reused buffer and one GEMM turns them into output rows, written straight to
-their raster positions.
+plus fixed tap offsets; the layer's M weight stacks are reordered to match,
+(M, C_out, K*K*C) with columns in (tap, channel) order. Each segment is worked
+in chunks of ``_CHUNK`` sorted pixels: ``np.take`` gathers a chunk's patches
+into a small reused buffer and one GEMM turns them into output rows, written
+straight to their raster positions.
 
 No K*K-sized patch matrix is kept for backward, nor a padded copy: backward
-holds only the input tensor, the bank and the shared plan, pads the input
+holds only the input tensor, the layer and the shared plan, pads the input
 again and regathers each chunk's patches, the trade gradient checkpointing
 makes (Chen et al., 2016). Per chunk it adds ``g.T @ patches``
 to the weight gradient and scatter-adds ``g @ W`` into a padded input
@@ -51,78 +51,6 @@ class ClassMap:
     @property
     def shape(self):
         return self.indices.shape
-
-
-class FilterBank:
-    """M stacks of convolution weights sharing one (C_out, C_in, K, K) shape.
-
-    Stacks are stored concatenated along the output-channel axis so the
-    whole bank is a single trainable tensor.
-    """
-
-    def __init__(self, kernels: Tensor, num_classes: int, biases: Tensor | None = None):
-        if num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {num_classes}")
-        if kernels.data.ndim != 4 or kernels.shape[0] % num_classes:
-            raise ShapeError(
-                f"bank kernels must stack {num_classes} classes on axis 0, "
-                f"got shape {kernels.shape}"
-            )
-        k = kernels.shape[2]
-        if k != kernels.shape[3] or k % 2 == 0:
-            raise ConfigError(f"kernel size must be odd and square, got {kernels.shape[2:]}")
-        self.kernels = kernels
-        self.num_classes = num_classes
-        self.biases = biases
-        if biases is not None and biases.data.shape != (1, kernels.shape[0], 1, 1):
-            raise ShapeError(
-                f"bank biases must be (1, {kernels.shape[0]}, 1, 1), got {biases.shape}"
-            )
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernels.shape[0] // self.num_classes
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernels.shape[1]
-
-    @property
-    def kernel_size(self) -> int:
-        return self.kernels.shape[2]
-
-    def class_bias(self, index: int) -> np.ndarray | None:
-        if self.biases is None:
-            return None
-        c = self.out_channels
-        return self.biases.data.reshape(-1)[(index - 1) * c : index * c]
-
-    @classmethod
-    def from_stacks(cls, stacks, biases=None, requires_grad: bool = True) -> "FilterBank":
-        """Build from a sequence of M (C_out, C_in, K, K) arrays."""
-        arrs = [np.asarray(s, dtype=np.float64) for s in stacks]
-        ref = arrs[0].shape
-        if any(a.shape != ref for a in arrs):
-            raise ShapeError("all bank stacks must share one shape")
-        kern = Tensor(np.concatenate(arrs, axis=0), requires_grad=requires_grad)
-        bias_t = None
-        if biases is not None:
-            flat = np.concatenate([np.asarray(b, dtype=np.float64).reshape(-1) for b in biases])
-            if flat.size != kern.shape[0]:
-                raise ShapeError("bank biases must supply C_out values per class")
-            bias_t = Tensor(flat.reshape(1, -1, 1, 1), requires_grad=requires_grad)
-        return cls(kern, len(arrs), bias_t)
-
-    @classmethod
-    def shared(cls, base_kernel, num_classes: int, base_bias=None,
-               requires_grad: bool = True) -> "FilterBank":
-        """Tile one kernel stack M times (the shared-weight starting point)."""
-        base = np.asarray(base_kernel, dtype=np.float64)
-        return cls.from_stacks(
-            [base] * num_classes,
-            None if base_bias is None else [base_bias] * num_classes,
-            requires_grad=requires_grad,
-        )
 
 
 def _class_indices(classes, n: int, h: int, w: int, num_classes: int) -> np.ndarray:
@@ -207,10 +135,10 @@ def _chunks(plan: DispatchPlan):
             yield i, lo, min(lo + _CHUNK, stop)
 
 
-def _bank_matrix(bank: FilterBank) -> np.ndarray:
+def _bank_matrix(layer: CsConv2d) -> np.ndarray:
     """(M, C_out, K*K*C) weights, columns in a patch's (tap, channel) order."""
-    m, c_out, c, k = bank.num_classes, bank.out_channels, bank.in_channels, bank.kernel_size
-    stacks = bank.kernels.data.reshape(m, c_out, c, k * k)
+    m, c_out, c, k = layer.num_classes, layer.out_channels, layer.in_channels, layer.kernel_size
+    stacks = layer.kernels.data.reshape(m, c_out, c, k * k)
     return stacks.transpose(0, 1, 3, 2).reshape(m, c_out, -1)
 
 
@@ -220,15 +148,15 @@ def _gather(rows, idx, block):
     return np.take(rows, idx, axis=0, out=block, mode="clip").reshape(len(idx), -1)
 
 
-def _backward(grad_out, x, plan, bank, need_input_grad):
+def _backward(grad_out, x, plan, layer, need_input_grad):
     """(grad_q, grad_kernels, grad_biases) for input ``x``, padding it again
     and regathering each chunk's patches."""
     n, c_out, h, w = grad_out.shape
-    m, c, k = bank.num_classes, bank.in_channels, bank.kernel_size
+    m, c, k = layer.num_classes, layer.in_channels, layer.kernel_size
     img, pix = np.divmod(plan.order, h * w)
     rows, corner, taps = _patch_source(x, img, pix, k)
     go_rows = grad_out.reshape(n, c_out, h * w).transpose(0, 2, 1)  # a view, (N, H*W, C_out)
-    wmat = _bank_matrix(bank)
+    wmat = _bank_matrix(layer)
     gkmat = np.zeros_like(wmat)
     gb = np.zeros((m, c_out))
     gxp = np.zeros_like(rows) if need_input_grad else None
@@ -250,88 +178,86 @@ def _backward(grad_out, x, plan, bank, need_input_grad):
                 rows_t += gpatches[:, t]
                 gxp[dst] = rows_t
 
-    gk = gkmat.reshape(m, c_out, k * k, c).transpose(0, 1, 3, 2).reshape(bank.kernels.shape)
+    gk = gkmat.reshape(m, c_out, k * k, c).transpose(0, 1, 3, 2).reshape(layer.kernels.shape)
     if need_input_grad:
         r = k // 2
         gxp = gxp.reshape(n, h + 2 * r, w + 2 * r, c)[:, r : r + h, r : r + w]
         gxp = gxp.transpose(0, 3, 1, 2)
-    return gxp, gk, (None if bank.biases is None else gb.reshape(bank.biases.shape))
+    return gxp, gk, gb.reshape(layer.biases.shape)
 
 
-def csconv_forward(q: Tensor, classes, bank: FilterBank) -> Tensor:
+def csconv_forward(q: Tensor, classes, layer: CsConv2d) -> Tensor:
     """Differentiable convolution with per-pixel kernel selection.
 
-    Chooses the kernel (and bias) of ``classes[pixel]`` at every output
-    location; zero padding keeps spatial extents. ``classes`` is anything
-    ``dispatch_plan`` accepts. Kernels of classes absent from the map get
-    exactly zero gradient.
+    Chooses the kernel and bias of ``classes[pixel]`` from ``layer``'s M
+    stacks at every output location; zero padding keeps spatial extents.
+    ``classes`` is anything ``dispatch_plan`` accepts. Kernels and biases of
+    classes absent from the map get exactly zero gradient.
     """
     n, c_in, h, w = q.shape
-    if c_in != bank.in_channels:
-        raise ShapeError(f"input has {c_in} channels, bank expects {bank.in_channels}")
-    plan = dispatch_plan(classes, n, h, w, bank.num_classes)
-    parents = [q, bank.kernels]
-    if bank.biases is not None:
-        parents.append(bank.biases)
+    if c_in != layer.in_channels:
+        raise ShapeError(f"input has {c_in} channels, layer expects {layer.in_channels}")
+    plan = dispatch_plan(classes, n, h, w, layer.num_classes)
 
     img, pix = np.divmod(plan.order, h * w)
-    rows, corner, taps = _patch_source(q.data, img, pix, bank.kernel_size)
-    wmat = _bank_matrix(bank)
-    out = np.empty((n, bank.out_channels, h, w))
+    rows, corner, taps = _patch_source(q.data, img, pix, layer.kernel_size)
+    wmat = _bank_matrix(layer)
+    bmat = layer.biases.data.reshape(layer.num_classes, layer.out_channels)
+    out = np.empty((n, layer.out_channels, h, w))
     out_rows = out.reshape(n, -1, h * w).transpose(0, 2, 1)  # a view, (N, H*W, C_out)
     block = np.empty((min(_CHUNK, corner.size), taps.size, c_in))
-    res = np.empty((len(block), bank.out_channels))
+    res = np.empty((len(block), layer.out_channels))
     for i, lo, hi in _chunks(plan):
         y = res[: hi - lo]
         np.matmul(_gather(rows, corner[lo:hi, None] + taps, block[: hi - lo]),
                   wmat[i - 1].T, out=y)
-        if bank.biases is not None:
-            y += bank.class_bias(i)
+        y += bmat[i - 1]
         out_rows[img[lo:hi], pix[lo:hi]] = y
 
     def bw(grad):
-        gq, gk, gb = _backward(grad, q.data, plan, bank, need_input_grad=q.requires_grad)
+        gq, gk, gb = _backward(grad, q.data, plan, layer, need_input_grad=q.requires_grad)
         if q.requires_grad:
             q._accumulate(gq)
-        if bank.kernels.requires_grad:
-            bank.kernels._accumulate(gk)
-        if bank.biases is not None and bank.biases.requires_grad:
-            bank.biases._accumulate(gb)
+        if layer.kernels.requires_grad:
+            layer.kernels._accumulate(gk)
+        if layer.biases.requires_grad:
+            layer.biases._accumulate(gb)
 
-    return _result(out, tuple(parents), bw)
+    return _result(out, (q, layer.kernels, layer.biases), bw)
 
 
 class CsConv2d(Module):
-    """Trainable class-specific convolution layer.
+    """Trainable class-specific convolution layer: a bank of M weight stacks.
 
-    All M stacks start from one shared random draw so training begins at
-    the plain-convolution baseline and only diverges through per-class
-    gradients.
+    ``kernels`` holds the M (C_out, C_in, K, K) stacks concatenated on the
+    output-channel axis, (M*C_out, C_in, K, K), and ``biases`` their M*C_out
+    biases as (1, M*C_out, 1, 1), so the whole bank is two trainable
+    tensors. All M stacks start from one shared random draw and zero biases,
+    so training begins at the plain-convolution baseline and only diverges
+    through per-class gradients.
     """
 
-    def __init__(self, num_classes, in_channels, out_channels, kernel_size,
-                 bias=True, rng=None):
+    def __init__(self, num_classes, in_channels, out_channels, kernel_size, rng=None):
         super().__init__()
+        if num_classes < 1:
+            raise ConfigError(f"num_classes must be >= 1, got {num_classes}")
+        if kernel_size % 2 == 0:
+            raise ConfigError(f"kernel size must be odd, got {kernel_size}")
         rng = rng if rng is not None else np.random.default_rng(0)
         fan_in = in_channels * kernel_size * kernel_size
         base = kaiming_uniform(
             rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in
         )
-        bank = FilterBank.shared(
-            base, num_classes,
-            base_bias=np.zeros(out_channels) if bias else None,
-        )
-        self.kernels = bank.kernels
-        if bank.biases is not None:
-            self.biases = bank.biases
-        self.bank = bank
+        self.kernels = Tensor(np.concatenate([base] * num_classes), requires_grad=True)
+        self.biases = Tensor(np.zeros((1, num_classes * out_channels, 1, 1)),
+                             requires_grad=True)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.num_classes = num_classes
 
     def forward(self, x: Tensor, classes) -> Tensor:
-        return csconv_forward(x, classes, self.bank)
+        return csconv_forward(x, classes, self)
 
     def flops_per_pixel(self) -> float:
         # counted like the plain conv it replaces; class lookup is free

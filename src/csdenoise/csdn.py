@@ -175,22 +175,9 @@ class CarnNet(Module):
         return rows
 
 
-def build_cs_edsr(cfg: CsdnConfig | None = None, seed: int = 0) -> EdsrNet:
-    cfg = cfg if cfg is not None else CsdnConfig(arch="edsr")
-    if cfg.arch != "edsr":
-        raise ConfigError(f"build_cs_edsr got arch {cfg.arch!r}")
-    return EdsrNet(cfg, np.random.default_rng(seed))
-
-
-def build_cs_carn(cfg: CsdnConfig | None = None, seed: int = 0) -> CarnNet:
-    cfg = cfg if cfg is not None else CsdnConfig(arch="carn")
-    if cfg.arch != "carn":
-        raise ConfigError(f"build_cs_carn got arch {cfg.arch!r}")
-    return CarnNet(cfg, np.random.default_rng(seed))
-
-
 def build_csdn(cfg: CsdnConfig, seed: int = 0):
-    return build_cs_edsr(cfg, seed) if cfg.arch == "edsr" else build_cs_carn(cfg, seed)
+    net = EdsrNet if cfg.arch == "edsr" else CarnNet
+    return net(cfg, np.random.default_rng(seed))
 
 
 def csdn_forward(net, noisy: np.ndarray, classes=None) -> np.ndarray:

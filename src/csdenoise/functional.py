@@ -224,19 +224,6 @@ def concat_channels(tensors) -> Tensor:
     return _result(out, tuple(tensors), bw)
 
 
-def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"channel slice [{start}:{stop}] out of {x.shape[1]}")
-
-    def bw(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, start:stop] = g
-            x._accumulate(gx)
-
-    return _result(x.data[:, start:stop].copy(), (x,), bw)
-
-
 def reflect_pad2d(x: Tensor, pad_h: int, pad_w: int) -> Tensor:
     """Reflect-pad the bottom/right edges (whole-sample reflection)."""
     n, c, h, w = x.shape

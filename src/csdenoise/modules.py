@@ -76,7 +76,7 @@ class Conv2d(Module):
     """Stride-1 zero-padded convolution layer, optionally grouped."""
 
     def __init__(self, in_channels, out_channels, kernel_size, groups=1,
-                 bias=True, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         if in_channels % groups or out_channels % groups:
             raise ConfigError(
@@ -97,11 +97,7 @@ class Conv2d(Module):
             ),
             requires_grad=True,
         )
-        self.bias = (
-            Tensor(np.zeros((1, out_channels, 1, 1)), requires_grad=True)
-            if bias
-            else None
-        )
+        self.bias = Tensor(np.zeros((1, out_channels, 1, 1)), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.kernel, self.bias, self.groups)

@@ -190,13 +190,12 @@ def train_pcn(images, cfg: TrainConfig, pcn_cfg: PcnConfig | None = None):
     """
     pcn_cfg = pcn_cfg if pcn_cfg is not None else PcnConfig()
     images = _check_images(images, cfg.patch_size)
-    div = 2 ** (pcn_cfg.num_scales - 1)
-    if cfg.patch_size % div:
+    net = build_pcn(pcn_cfg, seed=cfg.seed)
+    if cfg.patch_size % net.scale_factor:
         raise ConfigError(
-            f"patch size {cfg.patch_size} must be divisible by {div} "
+            f"patch size {cfg.patch_size} must be divisible by {net.scale_factor} "
             f"for {pcn_cfg.num_scales} scales"
         )
-    net = build_pcn(pcn_cfg, seed=cfg.seed)
 
     def step_loss(clean, noisy):
         target = np.stack([normalize_stats(compute_stats(c[0])) for c in clean])

@@ -4,7 +4,21 @@ import tracemalloc
 
 import numpy as np
 
+from csdenoise.csconv import CsConv2d
+
 FD_STEP = 1e-5
+
+
+def cs_layer(stacks, biases=None):
+    """A ``CsConv2d`` holding the M (C_out, C_in, K, K) ``stacks`` and the M
+    (C_out,) ``biases``, or zero biases when none are given."""
+    kernels = np.concatenate([np.asarray(s, dtype=np.float64) for s in stacks])
+    c_out, c_in, k, _ = np.shape(stacks[0])
+    layer = CsConv2d(len(stacks), c_in, c_out, k)
+    layer.kernels.data[...] = kernels
+    if biases is not None:
+        layer.biases.data[...] = np.concatenate(biases).reshape(layer.biases.shape)
+    return layer
 
 
 def fd_worst_rel_err(build_loss, tensors, n_coords=10, h=FD_STEP, seed=0):

@@ -12,8 +12,8 @@ import pytest
 
 from csdenoise import functional as F
 from csdenoise.autodiff import Tensor
-from csdenoise.csconv import FilterBank, csconv_forward
-from csdenoise.csdn import CsdnConfig, build_cs_edsr, build_csdn, csdn_loss
+from csdenoise.csconv import csconv_forward
+from csdenoise.csdn import CsdnConfig, build_csdn, csdn_loss
 from csdenoise.flops import count_flops
 from csdenoise.gradient_stats import (
     GradientStatsMap,
@@ -27,7 +27,7 @@ from csdenoise.metrics import psnr, ssim
 from csdenoise.model_io import load_model, save_model
 from csdenoise.pcn import PcnConfig, build_pcn, pcn_forward
 from csdenoise.pipeline import TrainConfig, add_awgn, evaluate, train_csdn, train_pcn
-from helpers import fd_worst_rel_err, fd_worst_rel_err_params
+from helpers import cs_layer, fd_worst_rel_err, fd_worst_rel_err_params
 
 
 def _report(number: int, ok: bool, detail: str):
@@ -48,7 +48,7 @@ def test_criterion_01_degenerate_csconv_equivalence():
         w = int(rng.integers(5, 12))
         base = rng.standard_normal((c_out, c_in, 3, 3))
         bias = rng.standard_normal(c_out)
-        bank = FilterBank.shared(base, m, base_bias=bias)
+        bank = cs_layer([base] * m, [bias] * m)
         q = Tensor(rng.standard_normal((n, c_in, h, w)))
         classes = rng.integers(1, m + 1, size=(n, h, w))
         got = csconv_forward(q, classes, bank).data
@@ -106,9 +106,9 @@ def test_criterion_02_gradient_suite():
             lambda: F.l1_loss(at, Tensor(bv)), [at], n_coords=6, seed=seed))
 
         qa = Tensor(rng.standard_normal((1, 3, 5, 5)), requires_grad=True)
-        bank = FilterBank.from_stacks(
+        bank = cs_layer(
             [rng.standard_normal((4, 3, 3, 3)) * 0.4 for _ in range(5)],
-            biases=[rng.standard_normal(4) * 0.1 for _ in range(5)],
+            [rng.standard_normal(4) * 0.1 for _ in range(5)],
         )
         cls = rng.integers(1, 6, size=(5, 5))
         wq = Tensor(rng.standard_normal((1, 4, 5, 5)))
@@ -119,7 +119,7 @@ def test_criterion_02_gradient_suite():
     worst_net = 0.0
     for seed in range(5):
         rng = np.random.default_rng(250 + seed)
-        net = build_cs_edsr(
+        net = build_csdn(
             CsdnConfig(arch="edsr", num_blocks=2, num_features=8,
                        use_csconv=True, num_classes=6), seed=seed)
         xin = Tensor(rng.random((1, 1, 8, 8)))
@@ -318,8 +318,8 @@ def test_criterion_08_ablation_direction(acceptance_images):
 
 def test_criterion_09_serialization(tmp_path):
     rng = np.random.default_rng(909)
-    net = build_cs_edsr(CsdnConfig(arch="edsr", num_blocks=2, num_features=8,
-                                   use_csconv=True, num_classes=72), seed=4)
+    net = build_csdn(CsdnConfig(arch="edsr", num_blocks=2, num_features=8,
+                                use_csconv=True, num_classes=72), seed=4)
     for _, p in net.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.shape)
     hash_cfg = HashConfig()

@@ -8,18 +8,17 @@ from csdenoise.csconv import (
     ClassMap,
     CsConv2d,
     DispatchPlan,
-    FilterBank,
     csconv_forward,
     dispatch_plan,
 )
-from csdenoise.errors import DispatchError, ShapeError
-from helpers import fd_worst_rel_err, traced_bytes
+from csdenoise.errors import ConfigError, DispatchError, ShapeError
+from helpers import cs_layer, fd_worst_rel_err, traced_bytes
 
 
 def random_bank(rng, m=5, c_out=4, c_in=3, k=3, bias=True):
     stacks = [rng.standard_normal((c_out, c_in, k, k)) * 0.4 for _ in range(m)]
     biases = [rng.standard_normal(c_out) * 0.1 for _ in range(m)] if bias else None
-    return FilterBank.from_stacks(stacks, biases=biases)
+    return cs_layer(stacks, biases)
 
 
 def class_kernel(bank, index):
@@ -28,16 +27,20 @@ def class_kernel(bank, index):
     return bank.kernels.data[(index - 1) * c : index * c]
 
 
+def class_bias(bank, index):
+    """Biases of class ``index`` (1-based) as (C_out,)."""
+    c = bank.out_channels
+    return bank.biases.data.reshape(-1)[(index - 1) * c : index * c]
+
+
 def csconv_backward(grad_out, q, classes, bank):
     """(grad_q, grad_kernels, grad_biases) of sum(output * grad_out), from
     backward() through csconv_forward on fresh copies of q and the bank."""
-    fresh = FilterBank(
-        Tensor(bank.kernels.data.copy(), requires_grad=True), bank.num_classes,
-        None if bank.biases is None else Tensor(bank.biases.data.copy(), requires_grad=True),
-    )
+    m = bank.num_classes
+    fresh = cs_layer(np.split(bank.kernels.data, m), np.split(bank.biases.data.reshape(-1), m))
     qt = Tensor(q.data.copy(), requires_grad=True)
     (csconv_forward(qt, classes, fresh) * Tensor(grad_out)).sum().backward()
-    return qt.grad, fresh.kernels.grad, None if fresh.biases is None else fresh.biases.grad
+    return qt.grad, fresh.kernels.grad, fresh.biases.grad
 
 
 class TestForward:
@@ -50,24 +53,20 @@ class TestForward:
             ref = F.conv2d(
                 Tensor(q.data),
                 Tensor(class_kernel(bank, i)),
-                Tensor(bank.class_bias(i).reshape(1, -1, 1, 1)),
+                Tensor(class_bias(bank, i).reshape(1, -1, 1, 1)),
             ).data
             assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_checkerboard_pointwise_example(self):
         # M=2, K=1, scalar weights 2 and 3 on an all-ones input
-        bank = FilterBank.from_stacks(
-            [np.full((1, 1, 1, 1), 2.0), np.full((1, 1, 1, 1), 3.0)]
-        )
+        bank = cs_layer([np.full((1, 1, 1, 1), 2.0), np.full((1, 1, 1, 1), 3.0)])
         yy, xx = np.mgrid[0:4, 0:4]
         classes = ((yy + xx) % 2 + 1).astype(np.int64)
         out = csconv_forward(Tensor(np.ones((1, 1, 4, 4))), classes, bank).data[0, 0]
         assert np.array_equal(out, np.where((yy + xx) % 2 == 0, 2.0, 3.0))
 
     def test_zero_bank_annihilates(self, rng):
-        bank = FilterBank.from_stacks(
-            [np.zeros((2, 1, 3, 3))] * 3, biases=[np.zeros(2)] * 3
-        )
+        bank = cs_layer([np.zeros((2, 1, 3, 3))] * 3)
         classes = rng.integers(1, 4, size=(5, 5))
         out = csconv_forward(Tensor(rng.random((1, 1, 5, 5))), classes, bank)
         assert np.all(out.data == 0.0)
@@ -75,7 +74,7 @@ class TestForward:
     def test_degenerate_equivalence_random_maps(self, rng):
         base = rng.standard_normal((3, 2, 3, 3))
         bias = rng.standard_normal(3)
-        bank = FilterBank.shared(base, 6, base_bias=bias)
+        bank = cs_layer([base] * 6, [bias] * 6)
         q = Tensor(rng.standard_normal((2, 2, 6, 6)))
         ref = F.conv2d(Tensor(q.data), Tensor(base), Tensor(bias.reshape(1, 3, 1, 1))).data
         for _ in range(5):
@@ -140,7 +139,7 @@ class TestBackward:
     def test_uniform_map_matches_conv_grads(self, rng):
         base = rng.standard_normal((3, 2, 3, 3))
         bias = rng.standard_normal(3)
-        bank = FilterBank.shared(base, 2, base_bias=bias)
+        bank = cs_layer([base] * 2, [bias] * 2)
         qv = rng.standard_normal((1, 2, 5, 5))
         wv = rng.standard_normal((1, 3, 5, 5))
 
@@ -221,14 +220,12 @@ def per_pixel_csconv(x, classes, bank, grad_out):
                 kern = class_kernel(bank, i)
                 patch = xp[b, :, y : y + k, xx : xx + k]
                 g = grad_out[b, :, y, xx]
-                out[b, :, y, xx] = np.tensordot(kern, patch, axes=3)
-                if bank.biases is not None:
-                    out[b, :, y, xx] += bank.class_bias(i)
+                out[b, :, y, xx] = np.tensordot(kern, patch, axes=3) + class_bias(bank, i)
                 gxp[b, :, y : y + k, xx : xx + k] += np.tensordot(g, kern, axes=1)
                 gk[(i - 1) * c : i * c] += np.multiply.outer(g, patch)
                 gb[(i - 1) * c : i * c] += g
     gx = gxp[:, :, r : r + h, r : r + w]
-    return out, gx, gk, (None if bank.biases is None else gb.reshape(1, -1, 1, 1))
+    return out, gx, gk, gb.reshape(1, -1, 1, 1)
 
 
 # H x W with N=2 gives 3 * _CHUNK pixels, so each of two classes gets about
@@ -237,7 +234,7 @@ def per_pixel_csconv(x, classes, bank, grad_out):
 _MULTI_CHUNK_HW = (csconv._CHUNK // 16, 24)
 
 DISPATCH_CASES = {
-    # name: (N, map shape kind, K, bias, classes drawn from, (H, W))
+    # name: (N, map shape kind, K, random (or zero) biases, classes drawn from, (H, W))
     "batch_of_maps": (3, "nhw", 3, True, (1, 2, 3, 4, 5), (6, 7)),
     "one_map_broadcast": (2, "hw", 3, True, (1, 2, 3, 4, 5), (6, 7)),
     "classmap": (2, "classmap", 3, True, (1, 3, 5), (6, 7)),
@@ -276,14 +273,12 @@ class TestDispatch:
             assert np.array_equal(csconv_forward(Tensor(xv), classes, bank).data, out.data)
         assert np.max(np.abs(x.grad - ref_gx)) < 1e-12
         assert np.max(np.abs(bank.kernels.grad - ref_gk)) < 1e-12
-        if bias:
-            assert np.max(np.abs(bank.biases.grad - ref_gb)) < 1e-12
+        assert np.max(np.abs(bank.biases.grad - ref_gb)) < 1e-12
         absent = [i for i in range(1, 6) if i not in np.unique(raw)]
         stacks = bank.kernels.grad.reshape(5, -1)
         for i in absent:
             assert np.all(stacks[i - 1] == 0.0)
-            if bias:
-                assert np.all(bank.biases.grad.reshape(5, -1)[i - 1] == 0.0)
+            assert np.all(bank.biases.grad.reshape(5, -1)[i - 1] == 0.0)
 
     @pytest.mark.parametrize("case", ["batch_of_maps", "one_map_broadcast", "k5"])
     def test_standalone_backward_matches_autodiff_with_plan(self, rng, case):
@@ -330,9 +325,8 @@ class TestDispatch:
 
 
 class TestMemory:
-    @pytest.mark.parametrize("bias", [True, False])
-    def test_recorded_forward_keeps_no_patch_matrix(self, rng, bias):
-        bank = random_bank(rng, m=5, c_out=16, c_in=16, k=3, bias=bias)
+    def test_recorded_forward_keeps_no_patch_matrix(self, rng):
+        bank = random_bank(rng, m=5, c_out=16, c_in=16, k=3)
         x = Tensor(rng.standard_normal((2, 16, 32, 32)), requires_grad=True)
         classes = rng.integers(1, 6, size=(2, 32, 32))
         out, held, peak = traced_bytes(lambda: csconv_forward(x, classes, bank))
@@ -368,11 +362,11 @@ class TestTypes:
         with pytest.raises(ShapeError):
             ClassMap(np.ones((2, 3, 3), dtype=np.int64))
 
-    def test_bank_stack_shape_agreement(self, rng):
-        with pytest.raises(ShapeError):
-            FilterBank.from_stacks(
-                [rng.random((2, 1, 3, 3)), rng.random((2, 1, 5, 5))]
-            )
+    def test_layer_rejects_bad_sizes(self):
+        with pytest.raises(ConfigError):
+            CsConv2d(0, 3, 2, 3)
+        with pytest.raises(ConfigError):
+            CsConv2d(4, 3, 2, 2)
 
     def test_module_layer_starts_shared(self, rng):
         layer = CsConv2d(4, 3, 2, 3, rng=rng)

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from csdenoise.autodiff import Tensor
-from csdenoise.csdn import (
-    CsdnConfig,
-    build_cs_carn,
-    build_cs_edsr,
-    csdn_forward,
-    csdn_loss,
-)
+from csdenoise.csdn import CsdnConfig, build_csdn, csdn_forward, csdn_loss
 from csdenoise.errors import ConfigError, DispatchError
 from helpers import fd_worst_rel_err_params
 
@@ -37,16 +31,16 @@ def copy_shared_weights(cs_net, plain_net, m):
 
 class TestEdsr:
     def test_forward_shape(self, rng):
-        net = build_cs_edsr(CsdnConfig(num_blocks=16, num_features=16,
-                                       use_csconv=True, num_classes=72), seed=0)
+        net = build_csdn(CsdnConfig(num_blocks=16, num_features=16,
+                                    use_csconv=True, num_classes=72), seed=0)
         classes = rng.integers(1, 73, size=(48, 48))
         out = net(Tensor(rng.random((1, 1, 48, 48))), classes)
         assert out.shape == (1, 1, 48, 48)
 
     def test_degenerate_equivalence_with_plain(self, rng):
         m = 6
-        cs = build_cs_edsr(small_cfg(m=m), seed=1)
-        plain = build_cs_edsr(small_cfg(use_csconv=False, m=m), seed=2)
+        cs = build_csdn(small_cfg(m=m), seed=1)
+        plain = build_csdn(small_cfg(use_csconv=False, m=m), seed=2)
         copy_shared_weights(cs, plain, m)
         x = Tensor(rng.random((2, 1, 12, 12)))
         ref = plain(Tensor(x.data)).data
@@ -56,7 +50,7 @@ class TestEdsr:
             assert np.max(np.abs(got - ref)) < 1e-10
 
     def test_zero_weights_give_zero_output(self, rng):
-        net = build_cs_edsr(small_cfg(), seed=3)
+        net = build_csdn(small_cfg(), seed=3)
         for _, p in net.named_parameters():
             p.data[...] = 0.0
         classes = rng.integers(1, 7, size=(10, 10))
@@ -64,7 +58,7 @@ class TestEdsr:
         assert np.all(out.data == 0.0)
 
     def test_plain_net_ignores_class_map(self, rng):
-        net = build_cs_edsr(small_cfg(use_csconv=False), seed=4)
+        net = build_csdn(small_cfg(use_csconv=False), seed=4)
         x = rng.random((1, 1, 10, 10))
         a = net(Tensor(x.copy()), rng.integers(1, 7, size=(10, 10))).data
         b = net(Tensor(x.copy()), None).data
@@ -72,14 +66,14 @@ class TestEdsr:
         assert np.array_equal(a, b) and np.array_equal(a, c)
 
     def test_missing_class_map_rejected(self, rng):
-        net = build_cs_edsr(small_cfg(), seed=5)
+        net = build_csdn(small_cfg(), seed=5)
         with pytest.raises(ConfigError):
             net(Tensor(rng.random((1, 1, 8, 8))), None)
 
     def test_parameter_count_relation(self):
         m = 6
-        cs = build_cs_edsr(small_cfg(m=m), seed=0)
-        plain = build_cs_edsr(small_cfg(use_csconv=False, m=m), seed=0)
+        cs = build_csdn(small_cfg(m=m), seed=0)
+        plain = build_csdn(small_cfg(use_csconv=False, m=m), seed=0)
         f = 8
         replaced = 2 * (f * f * 9 + f)  # two blocks' second convs, kernel+bias
         assert cs.parameter_count() == plain.parameter_count() + (m - 1) * replaced
@@ -88,14 +82,14 @@ class TestEdsr:
         cfg = CsdnConfig(arch="edsr", num_blocks=1, num_features=4,
                          use_csconv=False, num_classes=1,
                          global_residual="image")
-        net = build_cs_edsr(cfg, seed=6)
+        net = build_csdn(cfg, seed=6)
         for _, p in net.named_parameters():
             p.data[...] = 0.0
         x = rng.random((1, 1, 8, 8))
         assert np.array_equal(net(Tensor(x), None).data, x)
 
     def test_gradcheck_two_block_net(self, rng):
-        net = build_cs_edsr(small_cfg(), seed=7)
+        net = build_csdn(small_cfg(), seed=7)
         x = Tensor(rng.random((1, 1, 8, 8)))
         target = Tensor(rng.random((1, 1, 8, 8)))
         classes = rng.integers(1, 7, size=(8, 8))
@@ -107,16 +101,16 @@ class TestEdsr:
 
 class TestCarn:
     def test_forward_shape(self, rng):
-        net = build_cs_carn(CsdnConfig(arch="carn", num_features=16,
-                                       use_csconv=True, num_classes=72), seed=0)
+        net = build_csdn(CsdnConfig(arch="carn", num_features=16,
+                                    use_csconv=True, num_classes=72), seed=0)
         classes = rng.integers(1, 73, size=(48, 48))
         out = net(Tensor(rng.random((1, 1, 48, 48))), classes)
         assert out.shape == (1, 1, 48, 48)
 
     def test_degenerate_equivalence_with_plain(self, rng):
         m = 4
-        cs = build_cs_carn(small_cfg("carn", m=m), seed=1)
-        plain = build_cs_carn(small_cfg("carn", use_csconv=False, m=m), seed=2)
+        cs = build_csdn(small_cfg("carn", m=m), seed=1)
+        plain = build_csdn(small_cfg("carn", use_csconv=False, m=m), seed=2)
         copy_shared_weights(cs, plain, m)
         x = Tensor(rng.random((1, 1, 12, 12)))
         ref = plain(Tensor(x.data)).data
@@ -125,7 +119,7 @@ class TestCarn:
         assert np.max(np.abs(got - ref)) < 1e-10
 
     def test_cascade_connections_are_live(self, rng, monkeypatch):
-        net = build_cs_carn(small_cfg("carn", use_csconv=False), seed=3)
+        net = build_csdn(small_cfg("carn", use_csconv=False), seed=3)
         x = Tensor(rng.random((1, 1, 10, 10)))
         base = net(Tensor(x.data)).data.copy()
         # zero out the first residual block's output inside the first cascade
@@ -141,7 +135,7 @@ class TestCarn:
         assert np.max(np.abs(ablated - base)) > 1e-8
 
     def test_grouped_first_conv(self):
-        net = build_cs_carn(small_cfg("carn"), seed=4)
+        net = build_csdn(small_cfg("carn"), seed=4)
         assert net.cascades[0].blocks[0].conv1.groups == 2
 
     def test_odd_features_rejected_for_carn(self):
@@ -149,7 +143,7 @@ class TestCarn:
             CsdnConfig(arch="carn", num_features=7)
 
     def test_gradcheck(self, rng):
-        net = build_cs_carn(small_cfg("carn", m=3), seed=5)
+        net = build_csdn(small_cfg("carn", m=3), seed=5)
         x = Tensor(rng.random((1, 1, 8, 8)))
         target = Tensor(rng.random((1, 1, 8, 8)))
         classes = rng.integers(1, 4, size=(8, 8))
@@ -161,7 +155,7 @@ class TestCarn:
 
 class TestForwardWrapper:
     def test_deterministic(self, rng):
-        net = build_cs_edsr(small_cfg(), seed=8)
+        net = build_csdn(small_cfg(), seed=8)
         img = rng.random((16, 16))
         classes = rng.integers(1, 7, size=(16, 16))
         a = csdn_forward(net, img, classes)
@@ -169,13 +163,13 @@ class TestForwardWrapper:
         assert np.array_equal(a, b)
 
     def test_out_of_range_class_dispatch_error(self, rng):
-        net = build_cs_edsr(small_cfg(m=4), seed=9)
+        net = build_csdn(small_cfg(m=4), seed=9)
         with pytest.raises(DispatchError):
             csdn_forward(net, rng.random((8, 8)),
                          np.full((8, 8), 9, dtype=np.int64))
 
     def test_class_edit_stays_within_receptive_field(self, rng):
-        net = build_cs_edsr(small_cfg(), seed=10)
+        net = build_csdn(small_cfg(), seed=10)
         for i in range(2):  # stacks start shared; make classes distinguishable
             net.blocks[i].conv2.kernels.data += 0.2 * rng.standard_normal(
                 net.blocks[i].conv2.kernels.shape
@@ -198,7 +192,7 @@ class TestForwardWrapper:
         )
 
     def test_gradient_reaches_only_present_classes(self, rng):
-        net = build_cs_edsr(small_cfg(m=5), seed=11)
+        net = build_csdn(small_cfg(m=5), seed=11)
         x = Tensor(rng.random((1, 1, 8, 8)))
         target = Tensor(rng.random((1, 1, 8, 8)))
         classes = np.full((8, 8), 2, dtype=np.int64)
@@ -223,8 +217,7 @@ class TestSharedPlan:
     def test_shared_plan_equals_per_layer_maps(self, rng, monkeypatch, arch):
         from csdenoise import csconv, csdn
 
-        net = build_cs_edsr(small_cfg(m=5), seed=5) if arch == "edsr" else \
-            build_cs_carn(small_cfg("carn", m=5), seed=5)
+        net = build_csdn(small_cfg(arch, m=5), seed=5)
         for _, p in net.named_parameters():  # distinct class stacks
             p.data[...] += rng.normal(0.0, 0.1, p.shape)
         xv = rng.random((2, 1, 9, 10))

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_toy_images
-from csdenoise.csdn import CsdnConfig, build_cs_edsr
+from csdenoise.csdn import CsdnConfig, build_csdn
 from csdenoise.errors import CsdError
 from csdenoise.gradient_stats import HashConfig
 from csdenoise.image_io import _PNG_SIGNATURE, read_image, write_image
@@ -27,8 +27,8 @@ def written(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     img = make_toy_images(size=12, seed=5)[3]
     models = {
-        "csdn.model": build_cs_edsr(CsdnConfig(arch="edsr", num_blocks=1, num_features=4,
-                                               use_csconv=True, num_classes=2), seed=1),
+        "csdn.model": build_csdn(CsdnConfig(arch="edsr", num_blocks=1, num_features=4,
+                                            use_csconv=True, num_classes=2), seed=1),
         "pcn.model": build_pcn(PcnConfig(base_channels=4, num_scales=2,
                                           residual_blocks=0), seed=2),
     }

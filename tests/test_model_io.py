@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csdenoise.cli import run_cli
-from csdenoise.csdn import CsdnConfig, build_cs_edsr
+from csdenoise.csdn import CsdnConfig, build_csdn
 from csdenoise.errors import ModelFormatError
 from csdenoise.gradient_stats import HashConfig
 from csdenoise.model_io import load_kind, load_model, save_model
@@ -13,7 +13,7 @@ from csdenoise.pcn import PcnConfig, build_pcn
 
 
 def small_csdn(seed=0):
-    return build_cs_edsr(
+    return build_csdn(
         CsdnConfig(arch="edsr", num_blocks=2, num_features=8,
                    use_csconv=True, num_classes=8),
         seed=seed,
