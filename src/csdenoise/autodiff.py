@@ -7,8 +7,9 @@ shared arrays: an interior node's grad lives until its closure has run;
 leaf grads accumulate across calls until cleared, so callers zero grads
 before each step. A backward closure captures its parents, shapes and
 index bookkeeping, never an array its parents' ``.data`` can rebuild: it
-pads, masks and lays out again from ``.data`` when it runs. So mutating a
-recorded tensor's ``.data`` before ``backward()`` is unsupported.
+pads, masks and lays out again from ``.data`` when it runs, and recomputing
+a cheap activation of a parent's ``.data`` counts as rebuilding it. So
+mutating a recorded tensor's ``.data`` before ``backward()`` is unsupported.
 
 A graph is single-writer: build and differentiate it from one thread.
 Separate graphs share no state, so concurrent read-only inference on

@@ -22,6 +22,11 @@ makes (Chen et al., 2016). Per chunk it adds ``g.T @ patches``
 to the weight gradient and scatter-adds ``g @ W`` into a padded input
 gradient, one tap at a time, since no two pixels of a tap share a row. Sums
 run in class-sorted order, which is deterministic for a given map.
+
+A residual block's PReLU and skip add run inside the op: the PReLU acts on
+the padded rows as they are built, the skip is added into the output, and
+backward activates the rows it rebuilds again, so the graph keeps neither the
+activation nor the CSConv output (as In-Place ABN does, Rota Bulò et al., 2018).
 """
 
 from __future__ import annotations
@@ -115,15 +120,19 @@ def dispatch_plan(classes, n: int, h: int, w: int, num_classes: int) -> Dispatch
 _CHUNK = 512
 
 
-def _patch_source(x: np.ndarray, img, pix, k: int):
+def _patch_source(x: np.ndarray, img, pix, k: int, alpha=None, neg=None):
     """What the patch gathers read: the zero-padded input as one row of C
     values per padded pixel, the top-left patch row of each pixel ``pix`` of
-    image ``img``, and the K*K row offsets of the taps in (ky, kx) order."""
+    image ``img``, and the K*K row offsets of the taps in (ky, kx) order.
+    With PReLU slopes ``alpha`` and ``neg`` = x < 0 the rows hold ``F.prelu(x)``."""
     n, c, h, w = x.shape
     r = k // 2
     wp = w + 2 * r
     xp = np.zeros((n, h + 2 * r, wp, c))
-    xp[:, r : r + h, r : r + w] = x.transpose(0, 2, 3, 1)
+    inner = xp[:, r : r + h, r : r + w]
+    inner[...] = x.transpose(0, 2, 3, 1)
+    if alpha is not None:  # alpha * x where x < 0, x * 1.0 elsewhere: F.prelu's bits
+        inner *= np.where(neg, alpha, 1.0).transpose(0, 2, 3, 1)
     corner = (img * (h + 2 * r) + pix // w) * wp + pix % w
     return xp.reshape(-1, c), corner, (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
 
@@ -148,13 +157,13 @@ def _gather(rows, idx, block):
     return np.take(rows, idx, axis=0, out=block, mode="clip").reshape(len(idx), -1)
 
 
-def _backward(grad_out, x, plan, layer, need_input_grad):
-    """(grad_q, grad_kernels, grad_biases) for input ``x``, padding it again
-    and regathering each chunk's patches."""
+def _backward(grad_out, x, plan, layer, need_input_grad, alpha=None, neg=None):
+    """(grad of the convolved rows, grad_kernels, grad_biases) for input ``x``,
+    padding (and activating) it again and regathering each chunk's patches."""
     n, c_out, h, w = grad_out.shape
     m, c, k = layer.num_classes, layer.in_channels, layer.kernel_size
     img, pix = np.divmod(plan.order, h * w)
-    rows, corner, taps = _patch_source(x, img, pix, k)
+    rows, corner, taps = _patch_source(x, img, pix, k, alpha, neg)
     go_rows = grad_out.reshape(n, c_out, h * w).transpose(0, 2, 1)  # a view, (N, H*W, C_out)
     wmat = _bank_matrix(layer)
     gkmat = np.zeros_like(wmat)
@@ -186,36 +195,61 @@ def _backward(grad_out, x, plan, layer, need_input_grad):
     return gxp, gk, gb.reshape(layer.biases.shape)
 
 
-def csconv_forward(q: Tensor, classes, layer: CsConv2d) -> Tensor:
+def csconv_forward(q: Tensor, classes, layer: CsConv2d, alpha: Tensor | None = None,
+                   skip: Tensor | None = None) -> Tensor:
     """Differentiable convolution with per-pixel kernel selection.
 
     Chooses the kernel and bias of ``classes[pixel]`` from ``layer``'s M
     stacks at every output location; zero padding keeps spatial extents.
     ``classes`` is anything ``dispatch_plan`` accepts. Kernels and biases of
     classes absent from the map get exactly zero gradient.
+
+    With ``alpha`` and ``skip`` it equals, bit for bit, ``skip +
+    csconv_forward(F.prelu(q, alpha), classes, layer)`` while keeping neither
+    the activation nor the convolution: backward activates ``q`` again.
     """
     n, c_in, h, w = q.shape
+    c_out = layer.out_channels
     if c_in != layer.in_channels:
         raise ShapeError(f"input has {c_in} channels, layer expects {layer.in_channels}")
+    if alpha is not None and alpha.shape not in ((1, c_in, 1, 1), (1, 1, 1, 1)):
+        raise ShapeError(f"alpha must have {c_in} channels or be shared, got {alpha.shape}")
+    if skip is not None and skip.shape != (n, c_out, h, w):
+        raise ShapeError(f"skip {skip.shape} does not match output {(n, c_out, h, w)}")
     plan = dispatch_plan(classes, n, h, w, layer.num_classes)
 
     img, pix = np.divmod(plan.order, h * w)
-    rows, corner, taps = _patch_source(q.data, img, pix, layer.kernel_size)
+    prelu = () if alpha is None else (alpha.data, q.data < 0)
+    rows, corner, taps = _patch_source(q.data, img, pix, layer.kernel_size, *prelu)
     wmat = _bank_matrix(layer)
-    bmat = layer.biases.data.reshape(layer.num_classes, layer.out_channels)
-    out = np.empty((n, layer.out_channels, h, w))
+    bmat = layer.biases.data.reshape(layer.num_classes, c_out)
+    out = np.empty((n, c_out, h, w))
     out_rows = out.reshape(n, -1, h * w).transpose(0, 2, 1)  # a view, (N, H*W, C_out)
     block = np.empty((min(_CHUNK, corner.size), taps.size, c_in))
-    res = np.empty((len(block), layer.out_channels))
+    res = np.empty((len(block), c_out))
     for i, lo, hi in _chunks(plan):
         y = res[: hi - lo]
         np.matmul(_gather(rows, corner[lo:hi, None] + taps, block[: hi - lo]),
                   wmat[i - 1].T, out=y)
         y += bmat[i - 1]
         out_rows[img[lo:hi], pix[lo:hi]] = y
+    if skip is not None:
+        out += skip.data
 
     def bw(grad):
-        gq, gk, gb = _backward(grad, q.data, plan, layer, need_input_grad=q.requires_grad)
+        prelu = () if alpha is None else (alpha.data, q.data < 0)
+        need_rows = q.requires_grad or (alpha is not None and alpha.requires_grad)
+        gq, gk, gb = _backward(grad, q.data, plan, layer, need_rows, *prelu)
+        if skip is not None and skip.requires_grad:
+            skip._accumulate(grad)
+        if prelu:  # F.prelu's backward expressions, so the bits match
+            slopes, neg = prelu
+            if alpha.requires_grad:
+                ga = gq * np.where(neg, q.data, 0.0)
+                alpha._accumulate(ga.sum(axis=(0, 2, 3) if slopes.size > 1 else None)
+                                  .reshape(slopes.shape))
+            if q.requires_grad:
+                gq = gq * np.where(neg, slopes, 1.0)
         if q.requires_grad:
             q._accumulate(gq)
         if layer.kernels.requires_grad:
@@ -223,7 +257,8 @@ def csconv_forward(q: Tensor, classes, layer: CsConv2d) -> Tensor:
         if layer.biases.requires_grad:
             layer.biases._accumulate(gb)
 
-    return _result(out, (q, layer.kernels, layer.biases), bw)
+    parents = (q, layer.kernels, layer.biases, alpha, skip)
+    return _result(out, tuple(p for p in parents if p is not None), bw)
 
 
 class CsConv2d(Module):
@@ -256,8 +291,8 @@ class CsConv2d(Module):
         self.kernel_size = kernel_size
         self.num_classes = num_classes
 
-    def forward(self, x: Tensor, classes) -> Tensor:
-        return csconv_forward(x, classes, self)
+    def forward(self, x: Tensor, classes, alpha=None, skip=None) -> Tensor:
+        return csconv_forward(x, classes, self, alpha=alpha, skip=skip)
 
     def flops_per_pixel(self) -> float:
         # counted like the plain conv it replaces; class lookup is free

@@ -54,7 +54,9 @@ def _second_conv(cfg: CsdnConfig, rng) -> Module:
 
 
 class _ResidualBlock(Module):
-    """conv3x3 -> PReLU -> (CSConv or conv)3x3, plus identity skip."""
+    """conv3x3 -> PReLU -> (CSConv or conv)3x3, plus identity skip. A CSConv
+    runs the PReLU (``act`` keeps its parameter) and the skip add in its own
+    op, so the graph keeps two activations per block instead of four."""
 
     def __init__(self, cfg: CsdnConfig, rng, grouped_first: bool = False):
         super().__init__()
@@ -65,12 +67,9 @@ class _ResidualBlock(Module):
         self.uses_classes = cfg.use_csconv
 
     def forward(self, x: Tensor, classes=None) -> Tensor:
-        y = self.act(self.conv1(x))
         if self.uses_classes:
-            y = self.conv2(y, classes)
-        else:
-            y = self.conv2(y)
-        return x + y
+            return self.conv2(self.conv1(x), classes, alpha=self.act.alpha, skip=x)
+        return x + self.conv2(self.act(self.conv1(x)))
 
     def flops_per_pixel(self) -> float:
         f = self.act.channels

@@ -175,9 +175,10 @@ def _fit(net, images, cfg: TrainConfig, step_loss):
             loss = step_loss(clean_batch, noisy_batch)
             net.zero_grads()
             loss.backward()
-            _check_step_finite(net, loss.item(), epoch, step)
-            opt.step()
             losses.append(loss.item())
+            del loss  # the step's graph goes before the next batch's forward
+            _check_step_finite(net, losses[-1], epoch, step)
+            opt.step()
         history.append(float(np.mean(losses)))
     net.zero_grads()
     return history

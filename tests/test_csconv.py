@@ -33,11 +33,15 @@ def class_bias(bank, index):
     return bank.biases.data.reshape(-1)[(index - 1) * c : index * c]
 
 
+def copy_layer(bank):
+    m = bank.num_classes
+    return cs_layer(np.split(bank.kernels.data, m), np.split(bank.biases.data.reshape(-1), m))
+
+
 def csconv_backward(grad_out, q, classes, bank):
     """(grad_q, grad_kernels, grad_biases) of sum(output * grad_out), from
     backward() through csconv_forward on fresh copies of q and the bank."""
-    m = bank.num_classes
-    fresh = cs_layer(np.split(bank.kernels.data, m), np.split(bank.biases.data.reshape(-1), m))
+    fresh = copy_layer(bank)
     qt = Tensor(q.data.copy(), requires_grad=True)
     (csconv_forward(qt, classes, fresh) * Tensor(grad_out)).sum().backward()
     return qt.grad, fresh.kernels.grad, fresh.biases.grad
@@ -198,6 +202,72 @@ class TestBackward:
         after = csconv_forward(q, classes, bank).data
         changed = np.any(np.abs(after - before) > 0, axis=(0, 1))
         assert np.array_equal(changed, classes == 2)
+
+
+def fused_and_unfused(qv, classes, bank, alpha_v, skip_v, grad_out):
+    """[output, grad_q, grad_alpha, grad_skip, grad_kernels, grad_biases] of
+    sum(output * grad_out), for the fused op and for skip + CSConv(PReLU(q)),
+    each on fresh copies of the inputs and the bank."""
+    results = []
+    for fused in (True, False):
+        layer = copy_layer(bank)
+        q, alpha, skip = (Tensor(v.copy(), requires_grad=True) for v in (qv, alpha_v, skip_v))
+        if fused:
+            out = csconv_forward(q, classes, layer, alpha=alpha, skip=skip)
+        else:
+            out = skip + csconv_forward(F.prelu(q, alpha), classes, layer)
+        (out * Tensor(grad_out)).sum().backward()
+        results.append([out.data, q.grad, alpha.grad, skip.grad,
+                        layer.kernels.grad, layer.biases.grad])
+    return results
+
+
+# slopes below 0, at 0 and above 1, per channel (C_in = 3) and shared
+SLOPES = {
+    "per-channel": [-0.5, 0.0, 1.5],
+    "shared-negative": [-0.5],
+    "shared-zero": [0.0],
+    "shared-steep": [1.5],
+}
+
+
+class TestFusedPrelu:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("slopes", list(SLOPES))
+    def test_equals_unfused_bit_for_bit(self, rng, k, slopes):
+        bank = random_bank(rng, k=k)
+        qv = rng.standard_normal((2, 3, 6, 7))
+        qv[rng.random(qv.shape) < 0.2] = 0.0
+        classes = rng.integers(1, 6, size=(2, 6, 7))
+        alpha_v = np.array(SLOPES[slopes]).reshape(1, -1, 1, 1)
+        skip_v = rng.standard_normal((2, 4, 6, 7))
+        gout = rng.standard_normal((2, 4, 6, 7))
+        fused, unfused = fused_and_unfused(qv, classes, bank, alpha_v, skip_v, gout)
+        names = ["output", "q", "alpha", "skip", "kernels", "biases"]
+        for name, a, b in zip(names, fused, unfused):
+            assert np.array_equal(a, b), name
+
+    def test_gradients_match_finite_differences(self, rng):
+        bank = random_bank(rng)
+        q = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
+        alpha = Tensor(np.array([0.25, -0.3, 1.2]).reshape(1, 3, 1, 1), requires_grad=True)
+        skip = Tensor(rng.standard_normal((2, 4, 5, 5)), requires_grad=True)
+        classes = rng.integers(1, 6, size=(2, 5, 5))
+        w = Tensor(rng.standard_normal((2, 4, 5, 5)))
+        err = fd_worst_rel_err(
+            lambda: (csconv_forward(q, classes, bank, alpha=alpha, skip=skip) * w).sum(),
+            [q, alpha, skip, bank.kernels, bank.biases],
+        )
+        assert err < 1e-4
+
+    def test_shape_mismatches(self, rng):
+        bank = random_bank(rng)
+        q = Tensor(rng.random((1, 3, 4, 4)))
+        classes = np.ones((4, 4), dtype=np.int64)
+        with pytest.raises(ShapeError):
+            csconv_forward(q, classes, bank, alpha=Tensor(np.full((1, 2, 1, 1), 0.25)))
+        with pytest.raises(ShapeError):
+            csconv_forward(q, classes, bank, skip=Tensor(rng.random((1, 3, 4, 4))))
 
 
 def per_pixel_csconv(x, classes, bank, grad_out):

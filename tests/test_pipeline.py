@@ -21,6 +21,7 @@ from csdenoise.pipeline import (
     train_pcn,
     write_report_csv,
 )
+from helpers import traced_bytes
 
 
 def micro_train_cfg(**kw):
@@ -468,6 +469,15 @@ class TestTrainingLoop:
         assert [n for n, _ in named] == [n for n, _ in ref_named]
         for (name, p), (_, q) in zip(named, ref_named):
             assert np.array_equal(p.data, q.data), name
+
+    def test_step_graph_freed_before_next_forward(self, micro_images):
+        # holding the last step's graph while the next forward builds its own
+        # put the 3-step peak at 1.30x the 1-step one
+        def peak(steps):
+            cfg = micro_train_cfg(patch_size=32, epochs=1, steps_per_epoch=steps)
+            return traced_bytes(lambda: train_pcn(micro_images, cfg))[2]
+
+        assert peak(3) <= 1.05 * peak(1)
 
     def test_step_decay_schedule(self, micro_images, monkeypatch):
         rates = []
