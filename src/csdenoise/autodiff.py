@@ -11,6 +11,9 @@ pads, masks and lays out again from ``.data`` when it runs, and recomputing
 a cheap activation of a parent's ``.data`` counts as rebuilding it. So
 mutating a recorded tensor's ``.data`` before ``backward()`` is unsupported.
 
+The core keeps the arithmetic graphs record, ``add`` and scalar ``mul``,
+and the tensor ``mul`` and ``tsum`` that gradient checks build losses from.
+
 A graph is single-writer: build and differentiate it from one thread.
 Separate graphs share no state, so concurrent read-only inference on
 distinct instances is safe. ``no_grad`` holds per thread (and per asyncio
@@ -59,26 +62,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def create(cls, shape, fill=0.0, requires_grad: bool = False) -> "Tensor":
-        """Build a tensor of ``shape`` from a constant or a flat data array."""
-        shape = tuple(int(s) for s in shape)
-        if len(shape) != 4 or any(s < 0 for s in shape):
-            raise ShapeError(f"expected 4 non-negative extents, got {shape}")
-        if isinstance(fill, numbers.Real):
-            data = np.full(shape, float(fill))
-        else:
-            flat = np.asarray(fill, dtype=np.float64).reshape(-1)
-            n = int(np.prod(shape))
-            if flat.size != n:
-                raise ShapeError(
-                    f"data length {flat.size} does not fill shape {shape} ({n} values)"
-                )
-            data = flat.reshape(shape)
-        return cls(data, requires_grad=requires_grad)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -144,26 +127,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def sum(self):
         return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
-    def abs(self):
-        return tabs(self)
 
 
 def _result(data: np.ndarray, parents, backward_fn) -> Tensor:
@@ -193,18 +164,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
-
-    return _result(a.data - b.data, (a, b), bw)
-
-
 def mul(a: Tensor, b) -> Tensor:
     if isinstance(b, numbers.Real):
         s = float(b)
@@ -231,22 +190,3 @@ def tsum(a: Tensor) -> Tensor:
             a._accumulate(np.full_like(a.data, g.reshape(-1)[0]))
 
     return _result(np.full((1, 1, 1, 1), a.data.sum()), (a,), bw)
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, g.reshape(-1)[0] / n))
-
-    return _result(np.full((1, 1, 1, 1), a.data.mean()), (a,), bw)
-
-
-def tabs(a: Tensor) -> Tensor:
-    # subgradient at 0 is 0 (np.sign convention)
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * np.sign(a.data))
-
-    return _result(np.abs(a.data), (a,), bw)

@@ -1,4 +1,5 @@
-"""Differentiable layers: grouped conv, PReLU/ReLU, 2x resampling, L1 loss.
+"""The ops a training graph records: grouped conv, PReLU/ReLU, 2x
+resampling, channel concatenation for U-net skips, L1 loss.
 
 Convolutions are stride-1 with zero padding of K//2, so spatial extents
 are preserved. All kernels are (C_out, C_in/groups, K, K) with odd K.
@@ -204,7 +205,7 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
     return _result(out, (x,), bw)
 
 
-# -- shape plumbing -------------------------------------------------------------
+# -- skip concatenation --------------------------------------------------------
 
 
 def concat_channels(tensors) -> Tensor:
@@ -222,40 +223,6 @@ def concat_channels(tensors) -> Tensor:
                 t._accumulate(gp)
 
     return _result(out, tuple(tensors), bw)
-
-
-def reflect_pad2d(x: Tensor, pad_h: int, pad_w: int) -> Tensor:
-    """Reflect-pad the bottom/right edges (whole-sample reflection)."""
-    n, c, h, w = x.shape
-    if pad_h >= h or pad_w >= w:
-        raise ShapeError(f"reflect pad ({pad_h},{pad_w}) too large for {h}x{w}")
-    out = np.pad(x.data, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), mode="reflect")
-
-    def bw(g):
-        if x.requires_grad:
-            # pad < size: each reflected sample lands on a distinct source
-            gx = g[:, :, :, :w].copy()
-            gx[:, :, :, w - 1 - pad_w : w - 1] += g[:, :, :, : w - 1 : -1]
-            gh = gx[:, :, :h].copy()
-            gh[:, :, h - 1 - pad_h : h - 1] += gx[:, :, : h - 1 : -1]
-            x._accumulate(gh)
-
-    return _result(out, (x,), bw)
-
-
-def crop2d(x: Tensor, height: int, width: int) -> Tensor:
-    """Keep the top-left height x width window."""
-    n, c, h, w = x.shape
-    if height > h or width > w:
-        raise ShapeError(f"crop {height}x{width} exceeds input {h}x{w}")
-
-    def bw(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, :, :height, :width] = g
-            x._accumulate(gx)
-
-    return _result(x.data[:, :, :height, :width].copy(), (x,), bw)
 
 
 # -- loss -----------------------------------------------------------------------

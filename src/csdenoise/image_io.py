@@ -82,8 +82,11 @@ def _png_chunks(data: bytes, path):
         (length,) = struct.unpack(">I", data[pos : pos + 4])
         ctype = data[pos + 4 : pos + 8]
         body = data[pos + 8 : pos + 8 + length]
-        if len(body) != length:
+        crc = data[pos + 8 + length : pos + 12 + length]
+        if len(body) != length or len(crc) != 4:
             raise ImageFormatError(f"{path}: truncated PNG chunk {ctype!r}")
+        if struct.unpack(">I", crc)[0] != zlib.crc32(ctype + body):
+            raise ImageFormatError(f"{path}: PNG chunk {ctype!r} fails its CRC check")
         yield ctype, body
         pos += 12 + length  # header + body + CRC
 

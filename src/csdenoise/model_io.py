@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .csdn import CsdnConfig, build_csdn
-from .errors import ModelFormatError
+from .errors import CsdError, ModelFormatError
 from .gradient_stats import HashConfig
 from .pcn import PcnConfig, build_pcn
 
@@ -94,14 +94,17 @@ def load_model(path):
                 raise ModelFormatError(f"{path}: seed {seed!r} is not a non-negative integer")
             if not isinstance(declared, list) or not all(isinstance(e, dict) for e in declared):
                 raise ModelFormatError(f"{path}: metadata params must be a list of entries")
+            shapes = [tuple(entry.get("shape", ())) for entry in declared]
             if kind == "pcn":
                 net = build_pcn(PcnConfig(**meta["config"]), seed=seed)
             elif kind == "csdn":
                 net = build_csdn(CsdnConfig(**meta["config"]), seed=seed)
             else:
                 raise ModelFormatError(f"{path}: unknown architecture kind {kind!r}")
-        except (KeyError, TypeError) as exc:
-            raise ModelFormatError(f"{path}: incomplete metadata: {exc}") from exc
+        except CsdError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{path}: incomplete or malformed metadata: {exc}") from exc
 
         params = list(net.named_parameters())
         if len(params) != len(declared):
@@ -109,8 +112,8 @@ def load_model(path):
                 f"{path}: metadata lists {len(declared)} parameters, "
                 f"architecture has {len(params)}"
             )
-        for (name, tensor), entry in zip(params, declared):
-            if entry.get("name") != name or tuple(entry.get("shape", ())) != tensor.shape:
+        for (name, tensor), entry, shape in zip(params, declared, shapes):
+            if entry.get("name") != name or shape != tensor.shape:
                 raise ModelFormatError(
                     f"{path}: parameter {name!r} does not match metadata entry {entry}"
                 )

@@ -1,5 +1,6 @@
 """Pixel-wise classification network: a grouped-convolution U-net that
-regresses noise-free gradient statistics from a noisy image."""
+regresses noise-free gradient statistics from a noisy image. Inference
+pads and crops plain arrays around one no-grad forward (``pcn_forward``)."""
 
 from __future__ import annotations
 
@@ -74,7 +75,7 @@ class PcnNet(Module):
         if h % div or w % div:
             raise ShapeError(
                 f"{h}x{w} input not divisible by {div}; reflect-pad first "
-                "(see forward_padded)"
+                "(see pcn_forward)"
             )
         y = self.head(x)
         skips = []
@@ -89,17 +90,6 @@ class PcnNet(Module):
             y = F.bilinear_upsample2x(y)
             y = stage(F.concat_channels([y, skip]))
         return self.tail(y)
-
-    def forward_padded(self, x: Tensor) -> Tensor:
-        """Forward for arbitrary sizes: reflect-pad to divisibility, crop back."""
-        n, c, h, w = x.shape
-        div = self.scale_factor
-        pad_h = (-h) % div
-        pad_w = (-w) % div
-        if pad_h or pad_w:
-            out = self.forward(F.reflect_pad2d(x, pad_h, pad_w))
-            return F.crop2d(out, h, w)
-        return self.forward(x)
 
     def flops_layers(self):
         """(name, flops/pixel at own resolution, area fraction) triples."""
@@ -128,19 +118,23 @@ def build_pcn(cfg: PcnConfig | None = None, seed: int = 0) -> PcnNet:
     return PcnNet(cfg, np.random.default_rng(seed))
 
 
-def pcn_raw_forward(net: PcnNet, noisy: np.ndarray) -> np.ndarray:
-    """Inference helper: (H, W) image -> raw (3, H, W) predictions, no graph."""
+def pcn_forward(net: PcnNet, noisy: np.ndarray) -> GradientStatsMap:
+    """Predict gradient statistics for one (H, W) noisy image, clamped to
+    valid ranges. An image the net's scale factor does not divide is
+    reflect-padded at its bottom and right edges, and the prediction is
+    cropped back; no graph is recorded."""
     noisy = np.asarray(noisy, dtype=np.float64)
     if noisy.ndim != 2:
         raise ShapeError(f"expected (H, W) image, got {noisy.shape}")
+    h, w = noisy.shape
+    pad_h, pad_w = (-h) % net.scale_factor, (-w) % net.scale_factor
+    if pad_h or pad_w:
+        if pad_h >= h or pad_w >= w:
+            raise ShapeError(f"reflect pad ({pad_h},{pad_w}) too large for {h}x{w}")
+        noisy = np.pad(noisy, ((0, pad_h), (0, pad_w)), mode="reflect")
     with no_grad():
-        out = net.forward_padded(Tensor(noisy[None, None]))
-    return out.data[0]
-
-
-def pcn_forward(net: PcnNet, noisy: np.ndarray) -> GradientStatsMap:
-    """Predict gradient statistics for one noisy image, clamped to valid ranges."""
-    return denormalize_stats(pcn_raw_forward(net, noisy))
+        raw = net.forward(Tensor(noisy[None, None])).data[0, :, :h, :w]
+    return denormalize_stats(raw)
 
 
 def pcn_class_map(net: PcnNet, noisy: np.ndarray, cfg: HashConfig):

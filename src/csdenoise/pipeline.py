@@ -261,6 +261,8 @@ def evaluate(net, images, sigma: float, seed: int = 0, classifier: str = "raisr-
     images = _check_images(images)
     if names is None:
         names = [f"image{i:03d}" for i in range(len(images))]
+    if len(names) != len(images):
+        raise ConfigError(f"{len(names)} names given for {len(images)} images")
     rng = np.random.default_rng(seed)
     rows = []
     for name, clean in zip(names, images):

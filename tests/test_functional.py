@@ -171,18 +171,18 @@ class TestConv2dAgainstPerTapReference:
 
 class TestPrelu:
     def test_positive_passthrough(self):
-        out = F.prelu(Tensor.create((1, 1, 1, 1), 3.0),
-                      Tensor.create((1, 1, 1, 1), 0.25))
+        out = F.prelu(Tensor(np.full((1, 1, 1, 1), 3.0)),
+                      Tensor(np.full((1, 1, 1, 1), 0.25)))
         assert out.item() == 3.0
 
     def test_negative_scaled(self):
-        out = F.prelu(Tensor.create((1, 1, 1, 1), -2.0),
-                      Tensor.create((1, 1, 1, 1), 0.25))
+        out = F.prelu(Tensor(np.full((1, 1, 1, 1), -2.0)),
+                      Tensor(np.full((1, 1, 1, 1), 0.25)))
         assert out.item() == -0.5
 
     def test_alpha_grad_at_negative_input(self):
-        x = Tensor.create((1, 1, 1, 1), -2.0)
-        a = Tensor.create((1, 1, 1, 1), 0.25, requires_grad=True)
+        x = Tensor(np.full((1, 1, 1, 1), -2.0))
+        a = Tensor(np.full((1, 1, 1, 1), 0.25), requires_grad=True)
         F.prelu(x, a).sum().backward()
         assert np.allclose(a.grad, -2.0)
 
@@ -204,7 +204,7 @@ class TestPrelu:
 
 class TestResampling:
     def test_downsample_constant(self):
-        out = F.avg_downsample2x(Tensor.create((1, 1, 4, 4), 0.7))
+        out = F.avg_downsample2x(Tensor(np.full((1, 1, 4, 4), 0.7)))
         assert out.shape == (1, 1, 2, 2)
         assert np.allclose(out.data, 0.7)
 
@@ -222,7 +222,7 @@ class TestResampling:
             F.avg_downsample2x(Tensor(rng.random((1, 1, 5, 4))))
 
     def test_upsample_constant(self):
-        out = F.bilinear_upsample2x(Tensor.create((1, 2, 3, 3), 0.3))
+        out = F.bilinear_upsample2x(Tensor(np.full((1, 2, 3, 3), 0.3)))
         assert out.shape == (1, 2, 6, 6)
         assert np.allclose(out.data, 0.3)
 
@@ -232,7 +232,7 @@ class TestResampling:
         assert np.allclose(out, [0.0, 0.25, 0.75, 1.0])
 
     def test_round_trip_on_constant(self):
-        x = Tensor.create((1, 1, 4, 4), 0.42)
+        x = Tensor(np.full((1, 1, 4, 4), 0.42))
         back = F.avg_downsample2x(F.bilinear_upsample2x(x))
         assert np.allclose(back.data, x.data)
 
@@ -286,20 +286,6 @@ def ref_bilinear_upsample2x(x):
     return _result(out, (x,), bw)
 
 
-def ref_reflect_pad2d(x, pad_h, pad_w):
-    n, c, h, w = x.shape
-    idx_h = np.pad(np.arange(h), (0, pad_h), mode="reflect")
-    idx_w = np.pad(np.arange(w), (0, pad_w), mode="reflect")
-    out = x.data[:, :, idx_h, :][:, :, :, idx_w]
-
-    def bw(g):
-        if x.requires_grad:
-            gx = ref_scatter_axis(g, idx_w, w, 3)
-            x._accumulate(ref_scatter_axis(gx, idx_h, h, 2))
-
-    return _result(out, (x,), bw)
-
-
 def ref_avg_downsample2x(x):
     n, c, h, w = x.shape
     out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
@@ -321,14 +307,11 @@ def output_and_grad(op, xv, gv):
 
 def resampling_cases(draw):
     """Each layer with its reference, on an (N, C, H, W) of 1..3 x 1..3 x
-    1..9 x 1..9 and reflect pads 0..size-1."""
+    1..9 x 1..9."""
     n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    ph, pw = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
     return [
         ((n, c, h, w), (n, c, 2 * h, 2 * w), F.bilinear_upsample2x, ref_bilinear_upsample2x),
-        ((n, c, h, w), (n, c, h + ph, w + pw),
-         lambda x: F.reflect_pad2d(x, ph, pw), lambda x: ref_reflect_pad2d(x, ph, pw)),
         ((n, c, 2 * h, 2 * w), (n, c, h, w), F.avg_downsample2x, ref_avg_downsample2x),
     ]
 
@@ -410,20 +393,3 @@ class TestPlumbing:
             lambda: (F.concat_channels([a, b]) * w).sum(), [a, b]
         )
         assert err < 1e-4
-
-    def test_reflect_pad_matches_numpy(self, rng):
-        x = rng.random((1, 1, 5, 6))
-        out = F.reflect_pad2d(Tensor(x), 2, 3).data[0, 0]
-        expected = np.pad(x[0, 0], ((0, 2), (0, 3)), mode="reflect")
-        assert np.array_equal(out, expected)
-
-    def test_reflect_pad_gradients(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
-        w = Tensor(rng.standard_normal((1, 2, 8, 7)))
-        err = fd_worst_rel_err(lambda: (F.reflect_pad2d(x, 3, 2) * w).sum(), [x])
-        assert err < 1e-4
-
-    def test_crop_inverts_pad_region(self, rng):
-        x = rng.random((1, 1, 4, 5))
-        padded = F.reflect_pad2d(Tensor(x), 2, 1)
-        assert np.array_equal(F.crop2d(padded, 4, 5).data, x)

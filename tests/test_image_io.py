@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from csdenoise.cli import run_cli
+from csdenoise.csdn import CsdnConfig, build_csdn
 from csdenoise.errors import ImageFormatError
+from csdenoise.gradient_stats import HashConfig
 from csdenoise.image_io import _PNG_SIGNATURE, _png_chunk, quantize_unit, read_image, write_image
+from csdenoise.model_io import save_model
+from csdenoise.pcn import PcnConfig, build_pcn
 
 
 class TestPgm:
@@ -116,6 +120,34 @@ class TestPng:
         path.write_bytes(bytes(payload))
         with pytest.raises(ImageFormatError):
             read_image(path)
+
+    def test_chunk_crcs_checked(self, tmp_path, rng, capsys):
+        img, good = rng.random((6, 7)), tmp_path / "good.png"
+        write_image(img, good)
+        assert np.array_equal(read_image(good), quantize_unit(img) / 255.0)
+        data = good.read_bytes()
+        ihdr_crc = len(_PNG_SIGNATURE) + 8 + 13
+        (idat_len,) = struct.unpack(">I", data[ihdr_crc + 4 : ihdr_crc + 8])
+        idat_crc = ihdr_crc + 4 + 8 + idat_len
+        flipped = [bytearray(data), bytearray(data)]
+        flipped[0][ihdr_crc + 1] ^= 0x01
+        flipped[1][idat_crc + 3] ^= 0x80
+        pcn, csdn = tmp_path / "pcn.model", tmp_path / "csdn.model"
+        save_model(build_pcn(PcnConfig(base_channels=4, num_scales=2, residual_blocks=1)),
+                   HashConfig(), pcn)
+        save_model(build_csdn(CsdnConfig(num_blocks=1, num_features=4)), HashConfig(), csdn)
+        for bad, match in ((flipped[0], "b'IHDR' fails its CRC"),
+                           (flipped[1], "b'IDAT' fails its CRC"),
+                           (data[:-4], "truncated PNG chunk b'IEND'")):
+            path = tmp_path / "bad.png"
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ImageFormatError, match=match):
+                read_image(path)
+            out = tmp_path / "out.pgm"
+            assert run_cli(["denoise", "--in", str(path), "--pcn", str(pcn),
+                            "--csdn", str(csdn), "--out", str(out)]) == 2
+            assert match in capsys.readouterr().err
+            assert not out.exists()
 
     @staticmethod
     def _png(tmp_path, ihdr, raw):

@@ -182,6 +182,14 @@ class TestCorruptContent:
         _rewrite_meta(path, lambda meta: meta.update(params=5))
         self._rejected(path, "params must be a list", capsys)
 
+    def test_non_numeric_thresholds(self, path, capsys):
+        _rewrite_meta(path, lambda meta: meta["hash"].update(strength_thresholds=["x", "y"]))
+        self._rejected(path, "malformed metadata", capsys)
+
+    def test_param_shape_not_a_sequence(self, path, capsys):
+        _rewrite_meta(path, lambda meta: meta["params"][0].update(shape=5))
+        self._rejected(path, "malformed metadata", capsys)
+
     def test_nan_weight(self, path, capsys):
         raw = bytearray(path.read_bytes())
         first_value = 16 + struct.unpack("<Q", raw[8:16])[0] + 8

@@ -3,16 +3,19 @@ import pytest
 
 from csdenoise.autodiff import Tensor
 from csdenoise.errors import ConfigError, ShapeError
-from csdenoise.gradient_stats import HashConfig, compute_stats, hash_classes
-from csdenoise.pcn import (
-    PcnConfig,
-    build_pcn,
-    pcn_class_map,
-    pcn_forward,
-    pcn_loss,
-    pcn_raw_forward,
+from csdenoise.gradient_stats import (
+    HashConfig,
+    compute_stats,
+    denormalize_stats,
+    hash_classes,
 )
+from csdenoise.pcn import PcnConfig, build_pcn, pcn_class_map, pcn_forward, pcn_loss
 from helpers import fd_worst_rel_err_params
+
+
+def assert_stats_equal(a, b):
+    for field in ("orientation", "strength", "coherence"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def gcb_params(in_ch, cf):
@@ -54,13 +57,13 @@ class TestBuilder:
         net = build_pcn()
         with pytest.raises(ShapeError):
             net(Tensor(np.random.rand(1, 1, 30, 30)))
-        out = net.forward_padded(Tensor(np.random.rand(1, 1, 30, 30)))
-        assert out.shape == (1, 3, 30, 30)
+        assert pcn_forward(net, np.random.rand(30, 30)).strength.shape == (30, 30)
 
     def test_padded_forward_matches_plain_on_divisible_input(self, rng):
         net = build_pcn()
-        x = Tensor(rng.random((1, 1, 32, 32)))
-        assert np.array_equal(net(x).data, net.forward_padded(x).data)
+        img = rng.random((32, 32))
+        assert_stats_equal(pcn_forward(net, img),
+                           denormalize_stats(net(Tensor(img[None, None])).data[0]))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -100,9 +103,7 @@ class TestInference:
     def test_deterministic(self, rng):
         net = build_pcn(seed=3)
         img = rng.random((16, 16))
-        a = pcn_raw_forward(net, img)
-        b = pcn_raw_forward(net, img)
-        assert np.array_equal(a, b)
+        assert_stats_equal(pcn_forward(net, img), pcn_forward(net, img))
 
     def test_class_map_output_in_range(self, rng):
         net = build_pcn(seed=4)
@@ -110,6 +111,30 @@ class TestInference:
         _, cmap = pcn_class_map(net, rng.random((20, 20)), cfg)
         assert cmap.indices.min() >= 1
         assert cmap.indices.max() <= cfg.num_classes
+
+
+def reflect_padded_reference(net, img):
+    """The net on ``img`` reflect-padded at its bottom and right edges to the
+    scale factor, cropped back and denormalized."""
+    h, w = img.shape
+    pad = ((0, -h % net.scale_factor), (0, -w % net.scale_factor))
+    raw = net(Tensor(np.pad(img, pad, mode="reflect")[None, None])).data
+    return denormalize_stats(raw[0, :, :h, :w])
+
+
+class TestPadAndCrop:
+    def test_reflect_pad_matches_numpy(self, rng):
+        for scales, sizes in ((3, [(30, 30), (31, 17), (6, 9)]),
+                              (4, [(9, 13), (5, 7), (24, 13)])):
+            net = build_pcn(PcnConfig(base_channels=8, num_scales=scales,
+                                      residual_blocks=1), seed=6)
+            for size in sizes:
+                img = rng.random(size)
+                assert_stats_equal(pcn_forward(net, img), reflect_padded_reference(net, img))
+
+    def test_pad_as_large_as_the_image_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            pcn_forward(build_pcn(), rng.random((2, 5)))
 
 
 class TestLoss:
@@ -163,7 +188,7 @@ class TestOverfitSmoke:
             return 0.1 + 0.8 * 2.0 * np.where(saw < 0.5, saw, 1.0 - saw)
 
         ramps = [triangle_ramp(0.2), triangle_ramp(1.35)]
-        cfg = TrainConfig(sigma=10.0, batch_size=4, patch_size=32, epochs=8,
+        cfg = TrainConfig(sigma=10.0, batch_size=4, patch_size=32, epochs=16,
                           steps_per_epoch=125, learning_rate=2e-3, seed=0)
         net, history = train_pcn(ramps, cfg)
         assert history[-1] < history[0]

@@ -250,6 +250,10 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(None, [], 25.0)
 
+    def test_names_must_match_images(self, toy_images):
+        with pytest.raises(ConfigError, match="1 names given for 3 images"):
+            evaluate(None, toy_images[:3], 25.0, names=["only"])
+
     def test_negative_seed_rejected(self, toy_images):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             evaluate(None, toy_images[:1], 25.0, seed=-1)
