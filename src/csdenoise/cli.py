@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: classify, denoise, train-pcn, train-csdn, eval, flops.
-Exit codes: 0 success, 1 usage error, 2 runtime/data error. A flat
-``key = value`` config file may seed any option; explicit flags win.
+Exit codes: 0 success, 1 usage error, 2 runtime/data error. Defaults come from
+the config dataclasses; a flat ``key = value`` file (``--config``) overrides
+them, and explicit flags win over both.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _resolve(args, key, default, cast=str):
     explicit = getattr(args, key, None)
     if explicit is not None:
         return explicit
-    cfg = getattr(args, "_file_config", {})
+    cfg = args._file_config
     if key not in cfg:
         return default
     try:
@@ -80,39 +81,37 @@ def _float_list(text: str):
     return tuple(float(t) for t in text.replace(",", " ").split())
 
 
-def _hash_config(args) -> HashConfig:
-    return HashConfig(
-        orientation_bins=_resolve(args, "orientation_bins", 8, int),
-        strength_bins=_resolve(args, "strength_bins", 3, int),
-        coherence_bins=_resolve(args, "coherence_bins", 3, int),
-        strength_thresholds=_resolve(
-            args, "strength_thresholds", (0.0001, 0.001), _float_list
-        ),
-        coherence_thresholds=_resolve(
-            args, "coherence_thresholds", (0.25, 0.5), _float_list
-        ),
-    )
+# config fields whose flag (and config-file key) has another name
+_FLAG_NAMES = {"learning_rate": "lr"}
 
 
-def _train_config(args, sigma_default=25.0) -> TrainConfig:
-    return TrainConfig(
-        sigma=_resolve(args, "sigma", sigma_default, float),
-        batch_size=_resolve(args, "batch_size", 4, int),
-        patch_size=_resolve(args, "patch_size", 96, int),
-        epochs=_resolve(args, "epochs", 100, int),
-        steps_per_epoch=_resolve(args, "steps_per_epoch", 50, int),
-        learning_rate=_resolve(args, "lr", 1e-4, float),
-        seed=_resolve(args, "seed", 0, int),
-    )
+def _build(cls, args, **given):
+    """A ``cls`` config: each field not ``given`` is resolved from its flag,
+    the config file cast to the type of the field's default, or the default.
+    Fields without a flag on this command keep their default."""
+    for field in dataclasses.fields(cls):
+        key = _FLAG_NAMES.get(field.name, field.name)
+        if field.name not in given and hasattr(args, key):
+            cast = _float_list if isinstance(field.default, tuple) else type(field.default)
+            given[field.name] = _resolve(args, key, field.default, cast)
+    return cls(**given)
+
+
+def _load_pcn(args):
+    """A PCN model and the hash config it was trained with. That config
+    fixes the classes, so explicit hash flags are refused, not dropped."""
+    flags = [f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(HashConfig)
+             if getattr(args, f.name) is not None]
+    if flags:
+        raise ConfigError(f"the --pcn model fixes the hash config; drop {' '.join(flags)}")
+    return load_kind(args.pcn, "pcn")
 
 
 def _load_images(directory):
     root = Path(directory)
     if not root.is_dir():
         raise ConfigError(f"{directory}: not a directory")
-    paths = sorted(
-        p for p in root.iterdir() if p.suffix.lower() in (".pgm", ".png")
-    )
+    paths = sorted(p for p in root.iterdir() if p.suffix.lower() in (".pgm", ".png"))
     if not paths:
         raise ConfigError(f"no images found in {directory}")
     return [read_image(p) for p in paths], [p.stem for p in paths]
@@ -130,10 +129,10 @@ def _scale_class_map(indices: np.ndarray, num_classes: int) -> np.ndarray:
 def _cmd_classify(args) -> int:
     img = read_image(args.infile)
     if args.pcn is not None:
-        net, hash_cfg = load_kind(args.pcn, "pcn")
+        net, hash_cfg = _load_pcn(args)
         stats, cmap = pcn_class_map(net, img, hash_cfg)
     else:
-        hash_cfg = _hash_config(args)
+        hash_cfg = _build(HashConfig, args)
         stats, cmap = compute_class_map(img, hash_cfg)
     out = Path(args.out)
     write_image(_scale_class_map(cmap.indices, hash_cfg.num_classes), out)
@@ -155,73 +154,59 @@ def _cmd_denoise(args) -> int:
     return 0
 
 
-def _cmd_train_pcn(args) -> int:
-    images, _ = _load_images(args.data)
-    cfg = _train_config(args)
-    pcn_cfg = PcnConfig(
-        base_channels=_resolve(args, "base_channels", 12, int),
-        num_scales=_resolve(args, "num_scales", 3, int),
-        residual_blocks=_resolve(args, "residual_blocks", 3, int),
-    )
-    hash_cfg = _hash_config(args)
-    net, history = train_pcn(images, cfg, pcn_cfg)
+def _save_trained(args, net, history, hash_cfg, seed: int, what: str) -> int:
     for epoch, loss in enumerate(history):
         print(f"epoch {epoch:3d}  mean loss {loss:.6f}")
-    save_model(net, hash_cfg, args.out, seed=cfg.seed)
-    print(f"saved classification model: {args.out}")
+    save_model(net, hash_cfg, args.out, seed=seed)
+    print(f"saved {what} model: {args.out}")
     return 0
+
+
+def _cmd_train_pcn(args) -> int:
+    images, _ = _load_images(args.data)
+    cfg = _build(TrainConfig, args)
+    pcn_cfg = _build(PcnConfig, args)
+    hash_cfg = _build(HashConfig, args)
+    net, history = train_pcn(images, cfg, pcn_cfg)
+    return _save_trained(args, net, history, hash_cfg, cfg.seed, "classification")
 
 
 def _cmd_train_csdn(args) -> int:
     images, _ = _load_images(args.data)
-    cfg = _train_config(args)
+    cfg = _build(TrainConfig, args)
     classifier = _resolve(args, "classifier", "raisr-noisy")
     pcn = None
-    if classifier == "pcn":
-        if args.pcn is None:
-            raise ConfigError("--classifier pcn needs --pcn MODEL")
-        pcn, hash_cfg = load_kind(args.pcn, "pcn")
+    if classifier == "pcn" and args.pcn is not None:
+        pcn, hash_cfg = _load_pcn(args)
     else:
-        hash_cfg = _hash_config(args)
+        hash_cfg = _build(HashConfig, args)
     use_csconv = not args.plain
-    csdn_cfg = CsdnConfig(
-        arch=_resolve(args, "arch", "edsr"),
-        num_blocks=_resolve(args, "num_blocks", 16, int),
-        num_features=_resolve(args, "num_features", 16, int),
-        use_csconv=use_csconv,
-        num_classes=hash_cfg.num_classes if use_csconv else 1,
-    )
-    net, history = train_csdn(
-        images, cfg, csdn_cfg, classifier=classifier, pcn=pcn, hash_cfg=hash_cfg
-    )
-    for epoch, loss in enumerate(history):
-        print(f"epoch {epoch:3d}  mean loss {loss:.6f}")
-    save_model(net, hash_cfg, args.out, seed=cfg.seed)
-    print(f"saved denoising model: {args.out}")
-    return 0
+    csdn_cfg = _build(CsdnConfig, args, use_csconv=use_csconv,
+                      num_classes=hash_cfg.num_classes if use_csconv else 1)
+    net, history = train_csdn(images, cfg, csdn_cfg, classifier=classifier, pcn=pcn,
+                              hash_cfg=hash_cfg)
+    return _save_trained(args, net, history, hash_cfg, cfg.seed, "denoising")
 
 
 def _cmd_eval(args) -> int:
     images, names = _load_images(args.data)
-    csdn, csdn_hash = load_kind(args.csdn, "csdn")
+    csdn, hash_cfg = load_kind(args.csdn, "csdn")
     pcn = None
-    hash_cfg = csdn_hash
     classifier = _resolve(args, "classifier", None)
     if args.pcn is not None:
         pcn, hash_cfg = load_kind(args.pcn, "pcn")
         classifier = classifier or "pcn"
     else:
         classifier = classifier or "raisr-noisy"
-    sigma = _resolve(args, "sigma", 25.0, float)
-    seed = _resolve(args, "seed", 0, int)
+    cfg = _build(TrainConfig, args)  # sigma and seed, with training's defaults
     rows, summary = evaluate(
-        csdn, images, sigma, seed=seed, classifier=classifier, pcn=pcn,
+        csdn, images, cfg.sigma, seed=cfg.seed, classifier=classifier, pcn=pcn,
         hash_cfg=hash_cfg, names=names,
     )
     header = (
         f"config: {dataclasses.asdict(csdn.config)}\n"
         f"hash: {dataclasses.asdict(hash_cfg)}\n"
-        f"classifier: {classifier}  sigma: {sigma}  seed: {seed}"
+        f"classifier: {classifier}  sigma: {cfg.sigma}  seed: {cfg.seed}"
     )
     print(format_report(rows, summary, header))
     write_report_csv(rows, summary, args.report)
@@ -252,9 +237,10 @@ def _cmd_flops(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
-def _add_common(p):
+def _add_config(p, seed=True):
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--seed", type=int, default=None)
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
 
 
 def _add_hash_flags(p):
@@ -288,7 +274,7 @@ def build_parser() -> _Parser:
     source.add_argument("--raisr", action="store_true",
                         help="classify by structure-tensor analysis of the input")
     _add_hash_flags(p)
-    _add_common(p)
+    _add_config(p, seed=False)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("denoise", help="denoise one image with trained models")
@@ -296,7 +282,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pcn", required=True)
     p.add_argument("--csdn", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("train-pcn", help="train the classification network")
@@ -307,7 +292,7 @@ def build_parser() -> _Parser:
     p.add_argument("--residual-blocks", dest="residual_blocks", type=int, default=None)
     _add_train_flags(p)
     _add_hash_flags(p)
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=_cmd_train_pcn)
 
     p = sub.add_parser("train-csdn", help="train the denoiser (classifier frozen)")
@@ -322,7 +307,7 @@ def build_parser() -> _Parser:
                    help="use shared-weight convolutions (no class dispatch)")
     _add_train_flags(p)
     _add_hash_flags(p)
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=_cmd_train_csdn)
 
     p = sub.add_parser("eval", help="evaluate a denoiser on a directory of images")
@@ -332,42 +317,31 @@ def build_parser() -> _Parser:
     p.add_argument("--report", required=True)
     p.add_argument("--classifier", choices=CLASSIFIER_MODES, default=None)
     p.add_argument("--sigma", type=float, default=None)
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("flops", help="print the per-layer FLOPs/pixel report")
     p.add_argument("--model", required=True)
     p.add_argument("--pcn", default=None,
                    help="classifier model to include in the combined total")
-    _add_common(p)
     p.set_defaults(func=_cmd_flops)
 
     return parser
 
 
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if getattr(args, "config", None):
-        try:
-            args._file_config = _parse_config_file(args.config)
-        except CsdError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        args._file_config = {}
     try:
+        config = getattr(args, "config", None)
+        args._file_config = _parse_config_file(config) if config else {}
         return args.func(args)
-    except CsdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,8 +31,6 @@ activation nor the CSConv output (as In-Place ABN does, Rota Bulò et al., 2018)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor, _result
@@ -40,27 +38,9 @@ from .errors import ConfigError, DispatchError, ShapeError
 from .modules import Module, kaiming_uniform
 
 
-@dataclass
-class ClassMap:
-    """Per-pixel class indices in 1..M for one image."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices)
-        if self.indices.ndim != 2:
-            raise ShapeError(f"class map must be (H, W), got {self.indices.shape}")
-        if not np.issubdtype(self.indices.dtype, np.integer):
-            raise ShapeError("class map must hold integers")
-
-    @property
-    def shape(self):
-        return self.indices.shape
-
-
 def _class_indices(classes, n: int, h: int, w: int, num_classes: int) -> np.ndarray:
     """Validate class indices and broadcast them to (N, H, W)."""
-    idx = classes.indices if isinstance(classes, ClassMap) else np.asarray(classes)
+    idx = np.asarray(classes)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("class indices must be integers")
     if idx.ndim == 2:
@@ -102,8 +82,8 @@ class DispatchPlan:
 
 
 def dispatch_plan(classes, n: int, h: int, w: int, num_classes: int) -> DispatchPlan:
-    """The plan for an (N, C, H, W) feature: ``classes`` may be a raw (H, W) or
-    (N, H, W) index array, a ``ClassMap`` or an existing ``DispatchPlan``."""
+    """The plan for an (N, C, H, W) feature: ``classes`` may be an (H, W) or
+    (N, H, W) index array or an existing ``DispatchPlan``."""
     if not isinstance(classes, DispatchPlan):
         return DispatchPlan(classes, n, h, w, num_classes)
     if classes.indices.shape != (n, h, w):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csconv import ClassMap
 from .errors import ConfigError, ShapeError
 
 DEFAULT_WINDOW = 9
@@ -155,6 +154,24 @@ def eigen_stats(a, b, d):
     denom = s1 + s2
     coherence = np.where(denom > 0.0, (s1 - s2) / np.where(denom > 0.0, denom, 1.0), 0.0)
     return l1, l2, angle, coherence
+
+
+@dataclass
+class ClassMap:
+    """Per-pixel class indices in 1..M for one image."""
+
+    indices: np.ndarray
+
+    def __post_init__(self):
+        self.indices = np.asarray(self.indices)
+        if self.indices.ndim != 2:
+            raise ShapeError(f"class map must be (H, W), got {self.indices.shape}")
+        if not np.issubdtype(self.indices.dtype, np.integer):
+            raise ShapeError("class map must hold integers")
+
+    @property
+    def shape(self):
+        return self.indices.shape
 
 
 def hash_classes(stats: GradientStatsMap, cfg: HashConfig) -> ClassMap:

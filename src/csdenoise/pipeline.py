@@ -127,22 +127,26 @@ def sample_clean_patch(images, patch_size: int, rng: np.random.Generator) -> np.
 # -- classification front-end ---------------------------------------------------
 
 
+def _check_classifier(mode: str, pcn):
+    if mode not in CLASSIFIER_MODES:
+        raise ConfigError(f"unknown classifier mode {mode!r}; pick from {CLASSIFIER_MODES}")
+    if mode == "pcn" and pcn is None:
+        raise ConfigError("classifier mode 'pcn' needs a trained network")
+
+
 def classify_for_denoiser(noisy: np.ndarray, clean: np.ndarray | None,
                           mode: str, pcn=None, hash_cfg: HashConfig | None = None):
     """Class map for a patch under one of the classifier modes."""
     hash_cfg = hash_cfg if hash_cfg is not None else HashConfig()
+    _check_classifier(mode, pcn)
     if mode == "pcn":
-        if pcn is None:
-            raise ConfigError("classifier mode 'pcn' needs a trained network")
         _, cmap = pcn_class_map(pcn, noisy, hash_cfg)
     elif mode == "raisr-noisy":
         _, cmap = compute_class_map(noisy, hash_cfg)
-    elif mode == "raisr-clean":
+    else:
         if clean is None:
             raise ConfigError("classifier mode 'raisr-clean' needs the clean image")
         _, cmap = compute_class_map(clean, hash_cfg)
-    else:
-        raise ConfigError(f"unknown classifier mode {mode!r}; pick from {CLASSIFIER_MODES}")
     return cmap
 
 
@@ -214,12 +218,7 @@ def train_csdn(images, cfg: TrainConfig, csdn_cfg: CsdnConfig | None = None,
     """
     csdn_cfg = csdn_cfg if csdn_cfg is not None else CsdnConfig()
     hash_cfg = hash_cfg if hash_cfg is not None else HashConfig()
-    if classifier not in CLASSIFIER_MODES:
-        raise ConfigError(
-            f"unknown classifier mode {classifier!r}; pick from {CLASSIFIER_MODES}"
-        )
-    if classifier == "pcn" and pcn is None:
-        raise ConfigError("classifier mode 'pcn' needs a trained network")
+    _check_classifier(classifier, pcn)
     check_class_count(hash_cfg, csdn_cfg)
     images = _check_images(images, cfg.patch_size)
     net = build_csdn(csdn_cfg, seed=cfg.seed)

@@ -1,8 +1,12 @@
 import pytest
 
+from csdenoise import cli
 from csdenoise.cli import run_cli
+from csdenoise.csdn import CsdnConfig
+from csdenoise.gradient_stats import HashConfig
 from csdenoise.image_io import read_image, write_image
-from csdenoise.model_io import load_model
+from csdenoise.pcn import PcnConfig
+from csdenoise.pipeline import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +91,32 @@ class TestClassify:
         rc = run_cli(["classify", "--in", str(tmp_path / "nope.pgm"),
                       "--raisr", "--out", str(tmp_path / "m.pgm")])
         assert rc == 2
+
+
+class TestPcnModelFixesHash:
+    """A PCN model carries the hash config it was trained with."""
+
+    def test_explicit_hash_flags_refused(self, tmp_path, data_dir, trained, capsys):
+        pcn, _ = trained
+        for argv in (["classify", "--in", str(data_dir / "img1.pgm"),
+                      "--out", str(tmp_path / "map.pgm")],
+                     ["train-csdn", "--data", str(data_dir), "--out", str(tmp_path / "m.model"),
+                      "--classifier", "pcn", "--epochs", "1", "--steps-per-epoch", "1",
+                      "--batch-size", "1", "--patch-size", "24", "--num-blocks", "1",
+                      "--num-features", "4"]):
+            rc = run_cli(argv + ["--pcn", str(pcn), "--orientation-bins", "4"])
+            assert rc == 2
+            assert "--orientation-bins" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())
+
+    def test_config_file_hash_values_allowed(self, tmp_path, data_dir, trained, capsys):
+        pcn, _ = trained
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("orientation_bins = 4\n")
+        rc = run_cli(["classify", "--in", str(data_dir / "img1.pgm"), "--pcn", str(pcn),
+                      "--out", str(tmp_path / "map.pgm"), "--config", str(cfg)])
+        assert rc == 0
+        assert "72 classes" in capsys.readouterr().out
 
 
 class TestDenoiseAndEval:
@@ -241,26 +271,62 @@ class TestFlops:
         assert "combined total" in out
 
 
+def _built_configs(monkeypatch, argv):
+    """Run a train command with training and saving stubbed out; return the
+    configs it built, keyed by type."""
+    built = {}
+
+    def train(images, cfg, net_cfg, **kwargs):
+        built.update({TrainConfig: cfg, type(net_cfg): net_cfg})
+        return None, []
+
+    def save(net, hash_cfg, path, seed):
+        built[HashConfig] = hash_cfg
+
+    monkeypatch.setattr(cli, "train_pcn", train)
+    monkeypatch.setattr(cli, "train_csdn", train)
+    monkeypatch.setattr(cli, "save_model", save)
+    assert run_cli(argv) == 0
+    return built
+
+
+# one key per config the CLI builds:
+# (command, config-file key, file value, flag value, config type, field, parsed values)
+CONFIG_KEYS = [
+    ("train-pcn", "lr", "0.002", "0.003", TrainConfig, "learning_rate", (0.002, 0.003)),
+    ("train-csdn", "seed", "5", "6", TrainConfig, "seed", (5, 6)),
+    ("train-pcn", "strength_thresholds", "0.002 0.02", "0.003,0.03", HashConfig,
+     "strength_thresholds", ((0.002, 0.02), (0.003, 0.03))),
+    ("train-pcn", "base_channels", "8", "16", PcnConfig, "base_channels", (8, 16)),
+    ("train-csdn", "arch", "carn", "edsr", CsdnConfig, "arch", ("carn", "edsr")),
+    ("train-csdn", "num_blocks", "2", "3", CsdnConfig, "num_blocks", (2, 3)),
+]
+
+
 class TestConfigFile:
-    def test_config_supplies_defaults_and_flags_override(self, tmp_path, data_dir):
+    @pytest.mark.parametrize("command, key, file_value, flag_value, cls, field, parsed",
+                             CONFIG_KEYS, ids=[case[1] for case in CONFIG_KEYS])
+    def test_config_supplies_defaults_and_flags_override(
+            self, tmp_path, data_dir, monkeypatch, command, key, file_value, flag_value,
+            cls, field, parsed):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "# experiment record\n"
-            "epochs = 1\n"
-            "steps_per_epoch = 2\n"
-            "batch_size = 1\n"
-            "patch_size = 16\n"
-            "base_channels = 4\n"
-            "num_scales = 2\n"
-            "residual_blocks = 0\n"
-            "sigma = 15\n"
-        )
-        out = tmp_path / "m.model"
-        rc = run_cli(["train-pcn", "--data", str(data_dir), "--out", str(out),
-                      "--config", str(cfg), "--sigma", "25"])
-        assert rc == 0
-        net, _ = load_model(out)
-        assert net.config.base_channels == 4
+        cfg.write_text(f"# experiment record\n{key} = {file_value}\n")
+        argv = [command, "--data", str(data_dir), "--out", str(tmp_path / "m.model"),
+                "--config", str(cfg)]
+        from_file = _built_configs(monkeypatch, argv)[cls]
+        flag = "--" + key.replace("_", "-")
+        from_flag = _built_configs(monkeypatch, argv + [flag, flag_value])[cls]
+        assert (getattr(from_file, field), getattr(from_flag, field)) == parsed
+
+    def test_required_flags_alone_build_the_default_configs(self, tmp_path, data_dir,
+                                                            monkeypatch):
+        out = ["--data", str(data_dir), "--out", str(tmp_path / "m.model")]
+        pcn = _built_configs(monkeypatch, ["train-pcn", *out])
+        csdn = _built_configs(monkeypatch, ["train-csdn", *out])
+        assert pcn == {TrainConfig: TrainConfig(), PcnConfig: PcnConfig(),
+                       HashConfig: HashConfig()}
+        assert csdn == {TrainConfig: TrainConfig(), CsdnConfig: CsdnConfig(),
+                        HashConfig: HashConfig()}
 
     def test_malformed_config_exits_two(self, tmp_path, data_dir):
         cfg = tmp_path / "bad.cfg"

@@ -5,7 +5,6 @@ from csdenoise import csconv
 from csdenoise import functional as F
 from csdenoise.autodiff import Tensor, no_grad
 from csdenoise.csconv import (
-    ClassMap,
     CsConv2d,
     DispatchPlan,
     csconv_forward,
@@ -307,7 +306,6 @@ DISPATCH_CASES = {
     # name: (N, map shape kind, K, random (or zero) biases, classes drawn from, (H, W))
     "batch_of_maps": (3, "nhw", 3, True, (1, 2, 3, 4, 5), (6, 7)),
     "one_map_broadcast": (2, "hw", 3, True, (1, 2, 3, 4, 5), (6, 7)),
-    "classmap": (2, "classmap", 3, True, (1, 3, 5), (6, 7)),
     "absent_classes": (2, "nhw", 3, True, (2, 5), (6, 7)),
     "single_class": (2, "nhw", 3, True, (4,), (6, 7)),
     "no_bias": (2, "nhw", 3, False, (1, 2, 3, 4, 5), (6, 7)),
@@ -330,17 +328,16 @@ class TestDispatch:
         if case == "multi_chunk":
             sizes = np.bincount(raw.reshape(-1))[list(present)]
             assert np.all(sizes > csconv._CHUNK) and np.all(sizes % csconv._CHUNK)
-        classes = ClassMap(raw) if kind == "classmap" else raw
         xv = rng.standard_normal((n, 2, h, w))
         gout = rng.standard_normal((n, 3, h, w))
         ref_out, ref_gx, ref_gk, ref_gb = per_pixel_csconv(xv, raw, bank, gout)
 
         x = Tensor(xv.copy(), requires_grad=True)
-        out = csconv_forward(x, classes, bank)
+        out = csconv_forward(x, raw, bank)
         (out * Tensor(gout)).sum().backward()
         assert np.max(np.abs(out.data - ref_out)) < 1e-12
         with no_grad():
-            assert np.array_equal(csconv_forward(Tensor(xv), classes, bank).data, out.data)
+            assert np.array_equal(csconv_forward(Tensor(xv), raw, bank).data, out.data)
         assert np.max(np.abs(x.grad - ref_gx)) < 1e-12
         assert np.max(np.abs(bank.kernels.grad - ref_gk)) < 1e-12
         assert np.max(np.abs(bank.biases.grad - ref_gb)) < 1e-12
@@ -426,12 +423,6 @@ class TestMemory:
 
 
 class TestTypes:
-    def test_classmap_validation(self):
-        with pytest.raises(ShapeError):
-            ClassMap(np.ones((3, 3)))  # floats rejected
-        with pytest.raises(ShapeError):
-            ClassMap(np.ones((2, 3, 3), dtype=np.int64))
-
     def test_layer_rejects_bad_sizes(self):
         with pytest.raises(ConfigError):
             CsConv2d(0, 3, 2, 3)

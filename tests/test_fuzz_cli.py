@@ -76,8 +76,8 @@ IMAGE_OUT = (["out/x.pgm", "out/x.png"], ["out/x.jpg", "out/sub/x.pgm"])
 FILE_OUT = (["out/x.model", "out/x.csv"], ["out/sub/x.model", "out"])
 THRESHOLDS = ["", "0.5", "0.5 0.25", "nan 0.5", "0 1", "1 2 3", "x"]
 
-COMMON = [_opt("--seed", [0, 7], [-1, 2**70, "x"]),
-          _opt("--config", ["good.cfg"], ["bad.cfg", "typed.cfg", "nan.cfg", "missing.cfg"])]
+SEED = _opt("--seed", [0, 7], [-1, 2**70, "x"])
+CONFIG = _opt("--config", ["good.cfg"], ["bad.cfg", "typed.cfg", "nan.cfg", "missing.cfg"])
 # bin counts come with as many thresholds as they need (one fewer)
 HASH = [_opt("--orientation-bins", [1, 2, 4], [-1, 0, "x"]),
         (False, [["--strength-bins", "1", "--strength-thresholds", ""],
@@ -103,27 +103,27 @@ COMMANDS = {
                  (True, [["--raisr"], ["--pcn", "pcn.model"], ["--pcn", "pcn4.model"]],
                   [["--raisr", "--pcn", "pcn.model"], ["--pcn", "csdn.model"],
                    ["--pcn", "bad.model"], ["--pcn", "missing.model"]]),
-                 *HASH, *COMMON],
+                 *HASH, CONFIG],
     "denoise": [_req("--in", *IMAGE_IN), _req("--pcn", ["pcn.model"], MODELS[1:]),
                 _req("--csdn", ["csdn.model", "carn.model", "plain.model"], MODELS),
-                _req("--out", *IMAGE_OUT), *COMMON],
+                _req("--out", *IMAGE_OUT)],
     "train-pcn": [_req("--data", *DATA), _req("--out", *FILE_OUT),
                   _opt("--base-channels", [1, 4], [-1, 0, "x"]),
                   _opt("--num-scales", [1, 2, 3], [0, 5, "x"]),
                   _opt("--residual-blocks", [0, 1], [-1, "x"]),
-                  *TRAIN, *HASH, *COMMON],
+                  *TRAIN, *HASH, SEED, CONFIG],
     "train-csdn": [_req("--data", *DATA), _req("--out", *FILE_OUT), CLASSIFIER,
                    _opt("--pcn", ["pcn.model", "pcn4.model"], MODELS[2:]),
                    _opt("--arch", ["edsr", "carn"], ["x"]),
                    _opt("--num-blocks", [1, 2], [-1, 0, "x"]),
                    _req("--num-features", [1, 4], [-1, 0, "x"]),
-                   (False, [["--plain"]], []), *TRAIN, *HASH, *COMMON],
+                   (False, [["--plain"]], []), *TRAIN, *HASH, SEED, CONFIG],
     "eval": [_req("--data", *DATA), _req("--report", *FILE_OUT),
              _req("--csdn", ["csdn.model", "carn.model", "plain.model"], MODELS),
              _opt("--pcn", ["pcn.model", "pcn4.model"], MODELS[2:]), CLASSIFIER,
-             _opt("--sigma", [5, 25], [-1, 0, 1e300, *NUMBER_JUNK]), *COMMON],
+             _opt("--sigma", [5, 25], [-1, 0, 1e300, *NUMBER_JUNK]), SEED, CONFIG],
     "flops": [_req("--model", MODELS[:5], MODELS[5:]),
-              _opt("--pcn", ["pcn.model"], MODELS[1:]), *COMMON],
+              _opt("--pcn", ["pcn.model"], MODELS[1:])],
 }
 
 

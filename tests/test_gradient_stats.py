@@ -3,6 +3,7 @@ import pytest
 
 from csdenoise.errors import ConfigError, ShapeError
 from csdenoise.gradient_stats import (
+    ClassMap,
     GradientStatsMap,
     HashConfig,
     compute_class_map,
@@ -225,6 +226,12 @@ class TestHashClasses:
         fields[field][1, 0] = bad
         with pytest.raises(ConfigError, match="non-finite"):
             hash_classes(GradientStatsMap(**fields), self.cfg())
+
+    def test_classmap_validation(self):
+        with pytest.raises(ShapeError):
+            ClassMap(np.ones((3, 3)))  # floats rejected
+        with pytest.raises(ShapeError):
+            ClassMap(np.ones((2, 3, 3), dtype=np.int64))
 
 
 class TestComputeClassMap:
