@@ -107,6 +107,12 @@ def _load_pcn(args):
     return load_kind(args.pcn, "pcn")
 
 
+def _refuse_unread_pcn(args, why: str):
+    """A --pcn that nothing would read is refused, not dropped."""
+    if args.pcn is not None:
+        raise ConfigError(f"--pcn is not read {why}; drop it")
+
+
 def _load_images(directory):
     root = Path(directory)
     if not root.is_dir():
@@ -175,8 +181,10 @@ def _cmd_train_csdn(args) -> int:
     images, _ = _load_images(args.data)
     cfg = _build(TrainConfig, args)
     classifier = _resolve(args, "classifier", "raisr-noisy")
+    if args.plain or classifier != "pcn":
+        _refuse_unread_pcn(args, "with --plain" if args.plain else f"with classifier {classifier}")
     pcn = None
-    if classifier == "pcn" and args.pcn is not None:
+    if args.pcn is not None:
         pcn, hash_cfg = _load_pcn(args)
     else:
         hash_cfg = _build(HashConfig, args)
@@ -191,13 +199,12 @@ def _cmd_train_csdn(args) -> int:
 def _cmd_eval(args) -> int:
     images, names = _load_images(args.data)
     csdn, hash_cfg = load_kind(args.csdn, "csdn")
+    classifier = _resolve(args, "classifier", "raisr-noisy" if args.pcn is None else "pcn")
+    if classifier != "pcn":
+        _refuse_unread_pcn(args, f"with classifier {classifier}")
     pcn = None
-    classifier = _resolve(args, "classifier", None)
     if args.pcn is not None:
         pcn, hash_cfg = load_kind(args.pcn, "pcn")
-        classifier = classifier or "pcn"
-    else:
-        classifier = classifier or "raisr-noisy"
     cfg = _build(TrainConfig, args)  # sigma and seed, with training's defaults
     rows, summary = evaluate(
         csdn, images, cfg.sigma, seed=cfg.seed, classifier=classifier, pcn=pcn,
@@ -216,10 +223,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_flops(args) -> int:
     net, _ = load_model(args.model)
+    uses_classes = net.kind == "csdn" and net.config.use_csconv
+    if not uses_classes:
+        _refuse_unread_pcn(args, "for a model without CSConv")
     report = count_flops(net)
     title = f"{type(net).__name__} {dataclasses.asdict(net.config)}"
     print(report.format(title))
-    if net.kind == "csdn" and net.config.use_csconv:
+    if uses_classes:
         if args.pcn is not None:
             pcn, _ = load_kind(args.pcn, "pcn")
         else:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .autodiff import Tensor, _result
 from .errors import ConfigError, DispatchError, ShapeError
+from .functional import _GEMM_COLS
 from .modules import Module, kaiming_uniform
 
 
@@ -96,8 +97,9 @@ def dispatch_plan(classes, n: int, h: int, w: int, num_classes: int) -> Dispatch
     return classes
 
 
-# Pixels per gather-and-GEMM step: a (chunk, K*K, C) patch block stays in cache.
-_CHUNK = 512
+# Pixels per gather-and-GEMM step: a (chunk, K*K, C) patch block stays in cache,
+# and no GEMM is wider than bits hold at any BLAS thread count (see ``functional``).
+_CHUNK = _GEMM_COLS
 
 
 def _patch_source(x: np.ndarray, img, pix, k: int, alpha=None, neg=None):

@@ -4,20 +4,27 @@ resampling, channel concatenation for U-net skips, L1 loss.
 Convolutions are stride-1 with zero padding of K//2, so spatial extents
 are preserved. All kernels are (C_out, C_in/groups, K, K) with odd K.
 
-``conv2d`` runs one GEMM per kernel tap and group and adds the products
-(the accumulating "kn2row" scheme of Anderson et al., 2017). The input is
-zero-padded once to rows of Wp = W+2r, r = K//2, plus one spare bottom row
-that keeps the last tap in range, and flattened: tap (i, j) of the output
-at y*Wp + x then reads the contiguous slice at offset i*Wp + j. The 2r junk
-columns of each output row are dropped; backward pads the output gradient
-with zero junk columns, which makes the same slices its exact adjoint. No
-K*K-sized patch matrix is built, and backward keeps no padded copy: it pads
-its parent's data again when it runs, which costs one copy of the input.
+``conv2d`` and both its gradients are one zero-padded stride-1
+correlation (im2col, Chellapilla et al., 2006) worked per image in blocks
+of whole output rows: a block's rows and K//2 halo are copied into a small
+zero-bordered buffer, its (C*K*K, rows*W) patch slab is laid out in one
+reused buffer of at most ``_SLAB_BYTES``, and one GEMM per column span,
+batched over the groups, writes the output in place; a 1x1 kernel's slab
+is the input itself. The input gradient correlates the output gradient
+with the flipped kernel, channels swapped within each group: a gather, with
+no scatter or padded gradient. The kernel gradient sums each span's output
+gradient times its patches. Only results are full-size.
+
+No GEMM is wider than ``_GEMM_COLS`` = 384 columns, a limit CSConv shares:
+this OpenBLAS (0.3.31) gives different bits at 1 and 2 threads for most
+widths past 435 tried and for none up to 384, so training gives the same
+bits at any BLAS thread count.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, _result
 from .errors import ConfigError, ShapeError
@@ -39,21 +46,63 @@ def _check_kernel(kernel: Tensor, in_channels: int, groups: int):
         )
 
 
-def _pad_flat(x: np.ndarray, r: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C, (H+2r+1)*(W+2r)), zero-padded and flattened;
-    with r = 0 no tap reaches past the image, so no spare row is added."""
-    n, c, h, w = x.shape
-    if r == 0:
-        return x.reshape(n, c, h * w)
-    xp = np.zeros((n, c, h + 2 * r + 1, w + 2 * r))
-    xp[:, :, r : r + h, r : r + w] = x
-    return xp.reshape(n, c, -1)
+_GEMM_COLS = 384  # widest GEMM, in pixel columns, whose bits hold at any BLAS thread count
+_SLAB_BYTES = 512 * 1024  # a block of output rows is as tall as its patch slab fits in
 
 
-def _tap_weights(kernel: np.ndarray) -> np.ndarray:
-    """(K*K, C_out, C_in/g): one contiguous matrix per tap, so matmul can hand it to BLAS."""
-    c_out, cpg, k, _ = kernel.shape
-    return np.ascontiguousarray(kernel.transpose(2, 3, 0, 1)).reshape(k * k, c_out, cpg)
+def _parts(size: int, most: int) -> list[tuple[int, int]]:
+    """The fewest near-equal (lo, hi) parts of range(size), none over ``most``, longest first."""
+    n = -(-size // most)
+    return [(-(-size * i // n), -(-size * (i + 1) // n)) for i in range(n)]
+
+
+def _slab_spans(a: np.ndarray, k: int, groups: int):
+    """(img, cols, src) pieces of the patch matrix of zero-padded ``a``: src
+    is the (groups, C/groups*K*K, len) patch columns of the raster slice
+    ``cols`` of image ``img``, rows in a kernel's (c, ky, kx) order. One
+    buffer is reused per block of rows, so src holds until the next block."""
+    a = np.ascontiguousarray(a)
+    n, c, h, w = a.shape
+    if a.size == 0:
+        return
+    r = k // 2
+    blocks = _parts(h, max(1, _SLAB_BYTES // (8 * c * k * k * w)))
+    if k > 1:
+        rows = blocks[0][1]
+        padded = np.zeros((c, rows + 2 * r, w + 2 * r))  # a block's rows and halo
+        # window (ky, kx) of output pixel (y, x) as (c, ky, kx, y, x): a view
+        patches = sliding_window_view(padded, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
+        buf = np.empty(c * k * k * rows * w)
+    for img in range(n):
+        for y0, y1 in blocks:
+            m = y1 - y0
+            if k == 1:  # a 1x1 kernel's patch matrix is the input itself
+                slab = a[img].reshape(c, h * w)[:, y0 * w : y1 * w]
+            else:
+                i0, i1 = max(y0 - r, 0), min(y1 + r, h)  # halo rows past the image are zero
+                padded[:, : i0 - y0 + r] = 0.0
+                padded[:, i0 - y0 + r : i1 - y0 + r, r : r + w] = a[img, :, i0:i1]
+                padded[:, i1 - y0 + r : m + 2 * r] = 0.0
+                slab = buf[: c * k * k * m * w].reshape(c * k * k, m * w)
+                np.copyto(slab.reshape(c, k, k, m, w), patches[:, :, :, :m])
+            src = slab.reshape(groups, -1, m * w)
+            for lo, hi in _parts(m * w, _GEMM_COLS):
+                yield img, slice(y0 * w + lo, y0 * w + hi), src[:, :, lo:hi]
+
+
+def _correlate(a: np.ndarray, kernel: np.ndarray, groups: int, bias=None) -> np.ndarray:
+    """Zero-padded stride-1 correlation of (N, C, H, W) ``a`` with the
+    (C_out, C/groups, K, K) ``kernel``, plus ``bias`` (1, C_out, 1, 1)."""
+    n, _, h, w = a.shape
+    c_out, _, k, _ = kernel.shape
+    wmat = kernel.reshape(groups, c_out // groups, -1)
+    out = np.empty((n, c_out, h, w))
+    dst = out.reshape(n, groups, c_out // groups, h * w)
+    for img, cols, src in _slab_spans(a, k, groups):
+        np.matmul(wmat, src, out=dst[img, :, :, cols])
+    if bias is not None:
+        out += bias
+    return out
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 1) -> Tensor:
@@ -64,46 +113,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 
     if bias is not None and bias.data.shape != (1, c_out, 1, 1):
         raise ShapeError(f"bias must be (1, {c_out}, 1, 1), got {bias.shape}")
     opg = c_out // groups
-    r = k // 2
-    wp = w + 2 * r
-    span = h * wp  # output pixels per image, junk columns included
-    taps = [i * wp + j for i in range(k) for j in range(k)]
-    groups_io = [(slice(g * opg, (g + 1) * opg), slice(g * cpg, (g + 1) * cpg))
-                 for g in range(groups)]
-    xf, wt = _pad_flat(x.data, r), _tap_weights(kernel.data)
-
-    acc = np.empty((n, c_out, span))
-    tmp = np.empty((n, opg, span))
-    for o, i in groups_io:
-        for t, off in enumerate(taps):
-            np.matmul(wt[t, o], xf[:, i, off : off + span], out=tmp if t else acc[:, o])
-            if t:
-                acc[:, o] += tmp
-    del xf, tmp  # backward pads x.data again; the output copy below is the peak
-    out = acc.reshape(n, c_out, h, wp)[..., :w]
-    out = np.ascontiguousarray(out) if bias is None else out + bias.data
-
+    out = _correlate(x.data, kernel.data, groups, None if bias is None else bias.data)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bw(grad):
-        # zero junk columns make every tap product below the exact adjoint
-        go = np.pad(grad, ((0, 0), (0, 0), (0, 0), (0, 2 * r))).reshape(n, c_out, span)
-        xf, wt = _pad_flat(x.data, r), _tap_weights(kernel.data)
-        gx = np.zeros_like(xf) if x.requires_grad else None
-        gw = np.empty_like(wt) if kernel.requires_grad else None
-        tmp = np.empty((n, cpg, span)) if x.requires_grad else None
-        for o, i in groups_io:
-            for t, off in enumerate(taps):
-                xs = xf[:, i, off : off + span]
-                if gw is not None:
-                    gw[t, o] = (go[:, o] @ xs.transpose(0, 2, 1)).sum(axis=0)
-                if gx is not None:
-                    np.matmul(wt[t, o].T, go[:, o], out=tmp)
-                    gx[:, i, off : off + span] += tmp
-        if gx is not None:
-            x._accumulate(gx.reshape(n, c_in, -1, wp)[:, :, r : r + h, r : r + w])
-        if gw is not None:
-            kernel._accumulate(gw.reshape(k, k, c_out, cpg).transpose(2, 3, 0, 1))
+        if x.requires_grad:
+            # the adjoint: correlate with the flipped kernel, channels swapped per group
+            flipped = (kernel.data.reshape(groups, opg, cpg, k, k).transpose(0, 2, 1, 3, 4)
+                       .reshape(c_in, opg, k, k)[:, :, ::-1, ::-1])
+            x._accumulate(_correlate(grad, flipped, groups))
+        if kernel.requires_grad:  # each span's output gradient times its patches, summed
+            g_rows = np.ascontiguousarray(grad).reshape(n, groups, opg, h * w)
+            gw = np.zeros((groups, opg, cpg * k * k))
+            for img, cols, src in _slab_spans(x.data, k, groups):
+                gw += g_rows[img, :, :, cols] @ src.transpose(0, 2, 1)
+            kernel._accumulate(gw.reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
 

@@ -119,6 +119,42 @@ class TestPcnModelFixesHash:
         assert "72 classes" in capsys.readouterr().out
 
 
+class TestUnreadPcnRefused:
+    """A --pcn that the command would not read ends in exit 2, not silence."""
+
+    def test_train_csdn_without_pcn_classifier(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "m.model"
+        rc = run_cli(["train-csdn", "--data", str(data_dir), "--out", str(out),
+                      "--classifier", "raisr-noisy", "--pcn", str(tmp_path / "missing.model"),
+                      "--epochs", "1", "--steps-per-epoch", "1", "--batch-size", "1",
+                      "--patch-size", "16", "--num-blocks", "1", "--num-features", "4"])
+        assert rc == 2
+        assert "--pcn is not read with classifier raisr-noisy" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_eval_without_pcn_classifier(self, tmp_path, data_dir, trained, capsys):
+        pcn, csdn = trained
+        report = tmp_path / "r.csv"
+        rc = run_cli(["eval", "--data", str(data_dir), "--csdn", str(csdn), "--pcn", str(pcn),
+                      "--classifier", "raisr-noisy", "--report", str(report)])
+        assert rc == 2
+        assert "--pcn is not read with classifier raisr-noisy" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_flops_for_model_without_csconv(self, tmp_path, capsys):
+        from csdenoise.csdn import build_csdn
+        from csdenoise.model_io import save_model
+
+        path = tmp_path / "plain.model"
+        save_model(build_csdn(CsdnConfig(num_blocks=1, num_features=4, use_csconv=False,
+                                         num_classes=1)), HashConfig(), path)
+        rc = run_cli(["flops", "--model", str(path), "--pcn", str(tmp_path / "missing.model")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--pcn is not read for a model without CSConv" in captured.err
+        assert captured.out == ""
+
+
 class TestDenoiseAndEval:
     def test_denoise_round_trip(self, tmp_path, data_dir, trained):
         pcn, csdn = trained

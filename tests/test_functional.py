@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csdenoise import functional as F
-from csdenoise.autodiff import Tensor, _result
+from csdenoise.autodiff import Tensor, _result, no_grad
 from csdenoise.errors import ConfigError, ShapeError
 from helpers import fd_worst_rel_err, traced_bytes
 
@@ -111,12 +111,23 @@ def _conv_reference(x, k, b, groups, go):
     return out, gxp[:, :, r : r + h, r : r + w], gk, gb
 
 
+# At C=4, rows of more than one patch slab at every K, so block boundaries
+# fall inside the image, and rows wider than one GEMM, so each row splits
+# into column spans.
+_TALL_HW = (70, 240)
+_WIDE_HW = (9, 400)
+
+
 class TestConv2dAgainstPerTapReference:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("groups", [1, 2, 4])
-    @pytest.mark.parametrize("hw", [(7, 5), (3, 11), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("hw", [(7, 5), (3, 11), (1, 2), (2, 1), _TALL_HW, _WIDE_HW])
     def test_output_and_gradients(self, rng, k, groups, hw):
         x = rng.standard_normal((2, 4) + hw)
+        if hw == _TALL_HW:  # an image's patch matrix outgrows one slab
+            assert 8 * x[0].size * k * k > F._SLAB_BYTES
+        if hw == _WIDE_HW:
+            assert hw[1] > F._GEMM_COLS
         kernel = rng.standard_normal((8, 4 // groups, k, k))
         bias = rng.standard_normal((1, 8, 1, 1))
         go = rng.standard_normal((2, 8) + hw)
@@ -167,6 +178,24 @@ class TestConv2dAgainstPerTapReference:
         out, held, _ = traced_bytes(lambda: F.conv2d(x, k, b))
         # backward pads x.data again; a kept padded input alone is 1.16x
         assert held < 1.2 * out.data.nbytes
+
+    def test_backward_makes_no_full_size_temporaries(self, rng):
+        x = Tensor(rng.standard_normal((4, 16, 96, 96)), requires_grad=True)
+        k = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((1, 16, 1, 1)), requires_grad=True)
+        loss = (F.conv2d(x, k, b) * Tensor(rng.standard_normal(x.shape))).sum()
+        _, _, peak = traced_bytes(loss.backward)
+        # the output's gradient and the input's are 1x each; the rest is per block
+        assert peak < 3 * x.data.nbytes
+
+    def test_inference_makes_no_full_size_temporaries(self, rng):
+        x = Tensor(rng.standard_normal((1, 16, 256, 256)))
+        k = Tensor(rng.standard_normal((16, 16, 3, 3)))
+        b = Tensor(rng.standard_normal((1, 16, 1, 1)))
+        with no_grad():
+            _, _, peak = traced_bytes(lambda: F.conv2d(x, k, b))
+        # the output is 1x; the rest is per block
+        assert peak < 1.5 * x.data.nbytes
 
 
 class TestPrelu:
