@@ -25,6 +25,7 @@ from .pcn import PcnConfig, build_pcn, pcn_class_map
 from .pipeline import (
     CLASSIFIER_MODES,
     TrainConfig,
+    check_class_count,
     denoise_image,
     evaluate,
     format_report,
@@ -59,7 +60,10 @@ def _parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _FILE_KEYS:
+            raise ConfigError(f"{path}:{lineno}: no command reads the key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -84,15 +88,34 @@ def _float_list(text: str):
 # config fields whose flag (and config-file key) has another name
 _FLAG_NAMES = {"learning_rate": "lr"}
 
+# the configs each subcommand builds, each limited to the fields it has flags for
+_COMMAND_CONFIGS = {
+    "classify": {HashConfig: None},
+    "train-pcn": {PcnConfig: None, TrainConfig: None, HashConfig: None},
+    "train-csdn": {TrainConfig: None, HashConfig: None,
+                   CsdnConfig: ("num_blocks", "num_features")},
+    "eval": {TrainConfig: ("sigma", "seed")},
+}
+
+
+def _fields(cls, names=None):
+    """(field, flag/file key, cast by its default's type) per field of ``cls`` in ``names``."""
+    for field in dataclasses.fields(cls):
+        if names is None or field.name in names:
+            cast = _float_list if isinstance(field.default, tuple) else type(field.default)
+            yield field, _FLAG_NAMES.get(field.name, field.name), cast
+
+
+# a config file may set what any command reads, since one file seeds both stages
+_FILE_KEYS = {key for configs in _COMMAND_CONFIGS.values() for cls, names in configs.items()
+              for _, key, _ in _fields(cls, names)} | {"classifier", "arch"}
+
 
 def _build(cls, args, **given):
-    """A ``cls`` config: each field not ``given`` is resolved from its flag,
-    the config file cast to the type of the field's default, or the default.
-    Fields without a flag on this command keep their default."""
-    for field in dataclasses.fields(cls):
-        key = _FLAG_NAMES.get(field.name, field.name)
+    """A ``cls`` config: each field not ``given`` comes from its flag, the config
+    file or its default. Fields without a flag on this command keep the default."""
+    for field, key, cast in _fields(cls):
         if field.name not in given and hasattr(args, key):
-            cast = _float_list if isinstance(field.default, tuple) else type(field.default)
             given[field.name] = _resolve(args, key, field.default, cast)
     return cls(**given)
 
@@ -105,6 +128,16 @@ def _load_pcn(args):
     if flags:
         raise ConfigError(f"the --pcn model fixes the hash config; drop {' '.join(flags)}")
     return load_kind(args.pcn, "pcn")
+
+
+def _load_pcn_for(csdn, csdn_hash, path):
+    """A PCN model whose classes are the ones a class-specific denoiser was trained on."""
+    pcn, hash_cfg = load_kind(path, "pcn")
+    if csdn.config.use_csconv:
+        check_class_count(hash_cfg, csdn.config)
+        if hash_cfg != csdn_hash:
+            raise ConfigError(f"hash mismatch: --pcn has {hash_cfg}, the denoiser {csdn_hash}")
+    return pcn, hash_cfg
 
 
 def _refuse_unread_pcn(args, why: str):
@@ -152,8 +185,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    pcn, hash_cfg = load_kind(args.pcn, "pcn")
-    csdn, _ = load_kind(args.csdn, "csdn")
+    csdn, csdn_hash = load_kind(args.csdn, "csdn")
+    pcn, hash_cfg = _load_pcn_for(csdn, csdn_hash, args.pcn)
     img = read_image(args.infile)
     write_image(denoise_image(csdn, img, "pcn", pcn, hash_cfg), args.out)
     print(f"wrote denoised image: {args.out}")
@@ -204,7 +237,7 @@ def _cmd_eval(args) -> int:
         _refuse_unread_pcn(args, f"with classifier {classifier}")
     pcn = None
     if args.pcn is not None:
-        pcn, hash_cfg = load_kind(args.pcn, "pcn")
+        pcn, hash_cfg = _load_pcn_for(csdn, hash_cfg, args.pcn)
     cfg = _build(TrainConfig, args)  # sigma and seed, with training's defaults
     rows, summary = evaluate(
         csdn, images, cfg.sigma, seed=cfg.seed, classifier=classifier, pcn=pcn,
@@ -247,29 +280,12 @@ def _cmd_flops(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
-def _add_config(p, seed=True):
+def _add_config(p, configs):
+    """--config, and one --field-name flag per field in ``configs``."""
     p.add_argument("--config", default=None, help="flat key = value config file")
-    if seed:
-        p.add_argument("--seed", type=int, default=None)
-
-
-def _add_hash_flags(p):
-    p.add_argument("--orientation-bins", dest="orientation_bins", type=int, default=None)
-    p.add_argument("--strength-bins", dest="strength_bins", type=int, default=None)
-    p.add_argument("--coherence-bins", dest="coherence_bins", type=int, default=None)
-    p.add_argument("--strength-thresholds", dest="strength_thresholds",
-                   type=_float_list, default=None)
-    p.add_argument("--coherence-thresholds", dest="coherence_thresholds",
-                   type=_float_list, default=None)
-
-
-def _add_train_flags(p):
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--patch-size", dest="patch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    for cls, names in configs.items():
+        for _, key, cast in _fields(cls, names):
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=cast, default=None)
 
 
 def build_parser() -> _Parser:
@@ -283,8 +299,6 @@ def build_parser() -> _Parser:
     source.add_argument("--pcn", default=None, help="classification model file")
     source.add_argument("--raisr", action="store_true",
                         help="classify by structure-tensor analysis of the input")
-    _add_hash_flags(p)
-    _add_config(p, seed=False)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("denoise", help="denoise one image with trained models")
@@ -297,12 +311,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-pcn", help="train the classification network")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--base-channels", dest="base_channels", type=int, default=None)
-    p.add_argument("--num-scales", dest="num_scales", type=int, default=None)
-    p.add_argument("--residual-blocks", dest="residual_blocks", type=int, default=None)
-    _add_train_flags(p)
-    _add_hash_flags(p)
-    _add_config(p)
     p.set_defaults(func=_cmd_train_pcn)
 
     p = sub.add_parser("train-csdn", help="train the denoiser (classifier frozen)")
@@ -311,13 +319,8 @@ def build_parser() -> _Parser:
     p.add_argument("--classifier", choices=CLASSIFIER_MODES, default=None)
     p.add_argument("--pcn", default=None, help="frozen classification model")
     p.add_argument("--arch", choices=("edsr", "carn"), default=None)
-    p.add_argument("--num-blocks", dest="num_blocks", type=int, default=None)
-    p.add_argument("--num-features", dest="num_features", type=int, default=None)
     p.add_argument("--plain", action="store_true",
                    help="use shared-weight convolutions (no class dispatch)")
-    _add_train_flags(p)
-    _add_hash_flags(p)
-    _add_config(p)
     p.set_defaults(func=_cmd_train_csdn)
 
     p = sub.add_parser("eval", help="evaluate a denoiser on a directory of images")
@@ -326,8 +329,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pcn", default=None)
     p.add_argument("--report", required=True)
     p.add_argument("--classifier", choices=CLASSIFIER_MODES, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    _add_config(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("flops", help="print the per-layer FLOPs/pixel report")
@@ -336,6 +337,8 @@ def build_parser() -> _Parser:
                    help="classifier model to include in the combined total")
     p.set_defaults(func=_cmd_flops)
 
+    for command, configs in _COMMAND_CONFIGS.items():  # after each command's own flags
+        _add_config(sub.choices[command], configs)
     return parser
 
 

@@ -34,7 +34,7 @@ def _meta_bytes(meta: dict) -> bytes:
 
 
 def save_model(net, hash_cfg: HashConfig, path, seed: int = 0):
-    """Serialize a built network plus its quantizer config."""
+    """Serialize a built network plus its quantizer config; a failed save writes nothing."""
     params = list(net.named_parameters())
     meta = {
         "kind": net.kind,
@@ -44,15 +44,21 @@ def save_model(net, hash_cfg: HashConfig, path, seed: int = 0):
         "params": [{"name": n, "shape": list(p.shape)} for n, p in params],
     }
     blob = _meta_bytes(meta)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, p in params:
-            data = np.ascontiguousarray(p.data, dtype="<f8")
-            fh.write(struct.pack("<Q", data.size))
-            fh.write(data.tobytes())
+    tmp = Path(f"{path}.{os.getpid()}.tmp")  # same directory: os.replace is atomic
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for _, p in params:
+                data = np.ascontiguousarray(p.data, dtype="<f8")
+                fh.write(struct.pack("<Q", data.size))
+                fh.write(data.tobytes())
+        os.replace(tmp, path)
+    except BaseException:  # a failed save leaves the file at ``path`` as it was
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, n: int, section: str, path) -> bytes:

@@ -1,5 +1,6 @@
-"""Shared numerical-check utilities for the test suite."""
+"""Shared numerical-check and CLI utilities for the test suite."""
 
+import argparse
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,14 @@ import numpy as np
 from csdenoise.csconv import CsConv2d
 
 FD_STEP = 1e-5
+
+
+def subcommand_parsers():
+    """{subcommand name: its argparse parser} of the ``csdenoise`` CLI."""
+    from csdenoise.cli import build_parser
+
+    sub, = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return dict(sub.choices)
 
 
 def cs_layer(stacks, biases=None):

@@ -1,12 +1,16 @@
+import dataclasses
+
 import pytest
 
 from csdenoise import cli
 from csdenoise.cli import run_cli
-from csdenoise.csdn import CsdnConfig
+from csdenoise.csdn import CsdnConfig, build_csdn
 from csdenoise.gradient_stats import HashConfig
 from csdenoise.image_io import read_image, write_image
+from csdenoise.model_io import save_model
 from csdenoise.pcn import PcnConfig
 from csdenoise.pipeline import TrainConfig
+from helpers import subcommand_parsers
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +61,46 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "classify" in capsys.readouterr().out
+
+
+def _field_flags(cls, *unflagged):
+    return {"lr" if f.name == "learning_rate" else f.name
+            for f in dataclasses.fields(cls) if f.name not in unflagged}
+
+
+# per subcommand: the config fields it has flags for, i.e. the fields of the
+# configs it builds less the ones it sets itself
+CONFIG_FLAGS = {
+    "classify": _field_flags(HashConfig),
+    "denoise": set(),
+    "train-pcn": _field_flags(TrainConfig) | _field_flags(PcnConfig) | _field_flags(HashConfig),
+    "train-csdn": _field_flags(TrainConfig) | _field_flags(HashConfig)
+    | _field_flags(CsdnConfig, "use_csconv", "num_classes", "global_residual"),
+    "eval": {"sigma", "seed"},
+    "flops": set(),
+}
+
+
+class TestParserSurface:
+    def test_config_flags_are_the_built_fields(self):
+        every_field = set().union(*(_field_flags(cls) for cls in
+                                    (TrainConfig, HashConfig, PcnConfig, CsdnConfig)))
+        flags = {name: {a.dest for a in p._actions if a.dest in every_field}
+                 for name, p in subcommand_parsers().items()}
+        assert flags == CONFIG_FLAGS
+
+    def test_flag_names_follow_the_field_names(self):
+        for name, parser in subcommand_parsers().items():
+            for action in parser._actions:
+                if action.dest in CONFIG_FLAGS[name]:
+                    assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+
+    def test_unknown_arch_is_usage_error(self, tmp_path, data_dir, capsys):
+        rc = run_cli(["train-csdn", "--data", str(data_dir), "--out", str(tmp_path / "m.model"),
+                      "--arch", "x"])
+        assert rc == 1
+        assert "usage" in capsys.readouterr().err.lower()
+        assert not list(tmp_path.iterdir())
 
 
 class TestClassify:
@@ -193,6 +237,33 @@ class TestDenoiseAndEval:
                       "--out", str(tmp_path / "x.pgm")])
         assert rc == 2
         assert "class-count" in capsys.readouterr().err
+
+    def test_hash_mismatch_exits_two(self, tmp_path, data_dir, trained, capsys):
+        """Same class count as the PCN, other thresholds: the denoiser's filters
+        belong to other classes, so pairing the two is refused."""
+        pcn, _ = trained
+        csdn = tmp_path / "other-hash.model"
+        hash_cfg = HashConfig(strength_thresholds=(0.01, 0.1), coherence_thresholds=(0.1, 0.9))
+        save_model(build_csdn(CsdnConfig(num_blocks=1, num_features=4)), hash_cfg, csdn)
+        out, report = tmp_path / "x.pgm", tmp_path / "r.csv"
+        for argv in (["denoise", "--in", str(data_dir / "img0.pgm"), "--out", str(out)],
+                     ["eval", "--data", str(data_dir), "--report", str(report)]):
+            rc = run_cli(argv + ["--pcn", str(pcn), "--csdn", str(csdn)])
+            assert rc == 2
+            assert "hash mismatch" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["other-hash.model"]
+        # the denoiser's own hash still classifies for it
+        assert run_cli(["eval", "--data", str(data_dir), "--report", str(report),
+                        "--csdn", str(csdn), "--classifier", "raisr-noisy"]) == 0
+
+    def test_plain_denoiser_takes_any_pcn_hash(self, tmp_path, data_dir, trained):
+        pcn, _ = trained
+        plain = tmp_path / "plain.model"
+        save_model(build_csdn(CsdnConfig(num_blocks=1, num_features=4, use_csconv=False,
+                                         num_classes=1)), HashConfig(orientation_bins=2), plain)
+        rc = run_cli(["denoise", "--in", str(data_dir / "img0.pgm"), "--pcn", str(pcn),
+                      "--csdn", str(plain), "--out", str(tmp_path / "x.pgm")])
+        assert rc == 0
 
     def test_eval_writes_report(self, tmp_path, data_dir, trained):
         pcn, csdn = trained
@@ -363,6 +434,27 @@ class TestConfigFile:
                        HashConfig: HashConfig()}
         assert csdn == {TrainConfig: TrainConfig(), CsdnConfig: CsdnConfig(),
                         HashConfig: HashConfig()}
+
+    @pytest.mark.parametrize("line", ["epochz = 3", "num_classes = 12",
+                                      "global_residual = image", "learning_rate = 0.1"])
+    def test_key_no_command_reads_exits_two(self, tmp_path, data_dir, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"epochs = 1\n{line}\n")
+        out = tmp_path / "m.model"
+        rc = run_cli(["train-pcn", "--data", str(data_dir), "--out", str(out),
+                      "--config", str(cfg)])
+        assert rc == 2
+        assert repr(line.split()[0]) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_the_other_stage_reads_is_allowed(self, tmp_path, data_dir, monkeypatch):
+        """One file seeds both stages: train-csdn passes over the PCN's keys."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("base_channels = 8\nnum_blocks = 2\nclassifier = raisr-clean\n")
+        built = _built_configs(monkeypatch, ["train-csdn", "--data", str(data_dir),
+                                             "--out", str(tmp_path / "m.model"),
+                                             "--config", str(cfg)])
+        assert built[CsdnConfig].num_blocks == 2
 
     def test_malformed_config_exits_two(self, tmp_path, data_dir):
         cfg = tmp_path / "bad.cfg"

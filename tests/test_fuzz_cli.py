@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_toy_images
+from helpers import subcommand_parsers
 from csdenoise.cli import run_cli
 from csdenoise.csdn import CsdnConfig, build_csdn
 from csdenoise.gradient_stats import HashConfig
@@ -125,6 +126,17 @@ COMMANDS = {
     "flops": [_req("--model", MODELS[:5], MODELS[5:]),
               _opt("--pcn", ["pcn.model"], MODELS[1:])],
 }
+
+
+def test_commands_table_covers_every_flag():
+    """A flag the parser gains is fuzzed too: the table names every option."""
+    parsers = subcommand_parsers()
+    assert sorted(COMMANDS) == sorted(parsers)
+    for name, parser in parsers.items():
+        options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        named = {token for _, good, bad in COMMANDS[name] for piece in good + bad
+                 for token in piece if token.startswith("--")}
+        assert named == options, name
 
 
 @st.composite

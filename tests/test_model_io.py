@@ -68,6 +68,28 @@ class TestRoundTrip:
         )
 
 
+class TestAtomicSave:
+    def test_failed_save_keeps_the_old_model(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(small_csdn(seed=1), HashConfig(), path)
+        before = path.read_bytes()
+        net = small_csdn(seed=2)
+        _, last = list(net.named_parameters())[-1]
+        last.data = np.full(last.shape, "x")  # fails after the header and earlier payloads
+        with pytest.raises(ValueError):
+            save_model(net, HashConfig(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
+
+    def test_failed_replace_leaves_no_file(self, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        with pytest.raises(OSError):
+            save_model(small_csdn(), HashConfig(), target)
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert not list(target.iterdir())
+
+
 class TestErrors:
     def test_kind_mismatch(self, tmp_path):
         net = build_pcn(PcnConfig(base_channels=4, num_scales=2,
