@@ -25,7 +25,6 @@ from .pcn import PcnConfig, build_pcn, pcn_class_map
 from .pipeline import (
     CLASSIFIER_MODES,
     TrainConfig,
-    check_class_count,
     denoise_image,
     evaluate,
     format_report,
@@ -120,30 +119,31 @@ def _build(cls, args, **given):
     return cls(**given)
 
 
-def _load_pcn(args):
-    """A PCN model and the hash config it was trained with. That config
-    fixes the classes, so explicit hash flags are refused, not dropped."""
+def _pcn_for(args, reads_classes: bool, hash_cfg: HashConfig | None = None):
+    """(--pcn model or None, hash config of the classes, classifier mode), by one rule:
+    a --pcn is read only where the model dispatches on classes and the classifier is
+    pcn (the default when --pcn is given), and is refused elsewhere. A read PCN fixes
+    the classes: hash flags are refused, and a denoiser's ``hash_cfg`` must be its own.
+    Without a PCN the classes hash by ``hash_cfg``, or else by the hash flags."""
+    classifier = "pcn"
+    if hasattr(args, "classifier"):
+        classifier = _resolve(args, "classifier", "raisr-noisy" if args.pcn is None else "pcn")
+    if classifier not in CLASSIFIER_MODES:  # a config-file value, unchecked by argparse
+        raise ConfigError(f"unknown classifier {classifier!r}; pick from {CLASSIFIER_MODES}")
+    if args.pcn is None:
+        return None, hash_cfg if hash_cfg is not None else _build(HashConfig, args), classifier
+    if not (reads_classes and classifier == "pcn"):
+        why = f"with classifier {classifier}" if reads_classes else "for a model without CSConv"
+        raise ConfigError(f"--pcn is not read {why}; drop it")
     flags = [f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(HashConfig)
-             if getattr(args, f.name) is not None]
+             if getattr(args, f.name, None) is not None]
     if flags:
         raise ConfigError(f"the --pcn model fixes the hash config; drop {' '.join(flags)}")
-    return load_kind(args.pcn, "pcn")
-
-
-def _load_pcn_for(csdn, csdn_hash, path):
-    """A PCN model whose classes are the ones a class-specific denoiser was trained on."""
-    pcn, hash_cfg = load_kind(path, "pcn")
-    if csdn.config.use_csconv:
-        check_class_count(hash_cfg, csdn.config)
-        if hash_cfg != csdn_hash:
-            raise ConfigError(f"hash mismatch: --pcn has {hash_cfg}, the denoiser {csdn_hash}")
-    return pcn, hash_cfg
-
-
-def _refuse_unread_pcn(args, why: str):
-    """A --pcn that nothing would read is refused, not dropped."""
-    if args.pcn is not None:
-        raise ConfigError(f"--pcn is not read {why}; drop it")
+    pcn, pcn_hash = load_kind(args.pcn, "pcn")
+    if hash_cfg is not None and pcn_hash != hash_cfg:
+        what = "hash" if pcn_hash.num_classes == hash_cfg.num_classes else "class-count"
+        raise ConfigError(f"{what} mismatch: --pcn has {pcn_hash}, the denoiser {hash_cfg}")
+    return pcn, pcn_hash, classifier
 
 
 def _load_images(directory):
@@ -167,11 +167,10 @@ def _scale_class_map(indices: np.ndarray, num_classes: int) -> np.ndarray:
 
 def _cmd_classify(args) -> int:
     img = read_image(args.infile)
-    if args.pcn is not None:
-        net, hash_cfg = _load_pcn(args)
+    net, hash_cfg, _ = _pcn_for(args, reads_classes=True)
+    if net is not None:
         stats, cmap = pcn_class_map(net, img, hash_cfg)
     else:
-        hash_cfg = _build(HashConfig, args)
         stats, cmap = compute_class_map(img, hash_cfg)
     out = Path(args.out)
     write_image(_scale_class_map(cmap.indices, hash_cfg.num_classes), out)
@@ -186,9 +185,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_denoise(args) -> int:
     csdn, csdn_hash = load_kind(args.csdn, "csdn")
-    pcn, hash_cfg = _load_pcn_for(csdn, csdn_hash, args.pcn)
+    pcn, hash_cfg, classifier = _pcn_for(args, csdn.config.use_csconv, csdn_hash)
     img = read_image(args.infile)
-    write_image(denoise_image(csdn, img, "pcn", pcn, hash_cfg), args.out)
+    write_image(denoise_image(csdn, img, classifier, pcn, hash_cfg), args.out)
     print(f"wrote denoised image: {args.out}")
     return 0
 
@@ -213,15 +212,8 @@ def _cmd_train_pcn(args) -> int:
 def _cmd_train_csdn(args) -> int:
     images, _ = _load_images(args.data)
     cfg = _build(TrainConfig, args)
-    classifier = _resolve(args, "classifier", "raisr-noisy")
-    if args.plain or classifier != "pcn":
-        _refuse_unread_pcn(args, "with --plain" if args.plain else f"with classifier {classifier}")
-    pcn = None
-    if args.pcn is not None:
-        pcn, hash_cfg = _load_pcn(args)
-    else:
-        hash_cfg = _build(HashConfig, args)
     use_csconv = not args.plain
+    pcn, hash_cfg, classifier = _pcn_for(args, use_csconv)
     csdn_cfg = _build(CsdnConfig, args, use_csconv=use_csconv,
                       num_classes=hash_cfg.num_classes if use_csconv else 1)
     net, history = train_csdn(images, cfg, csdn_cfg, classifier=classifier, pcn=pcn,
@@ -231,13 +223,8 @@ def _cmd_train_csdn(args) -> int:
 
 def _cmd_eval(args) -> int:
     images, names = _load_images(args.data)
-    csdn, hash_cfg = load_kind(args.csdn, "csdn")
-    classifier = _resolve(args, "classifier", "raisr-noisy" if args.pcn is None else "pcn")
-    if classifier != "pcn":
-        _refuse_unread_pcn(args, f"with classifier {classifier}")
-    pcn = None
-    if args.pcn is not None:
-        pcn, hash_cfg = _load_pcn_for(csdn, hash_cfg, args.pcn)
+    csdn, csdn_hash = load_kind(args.csdn, "csdn")
+    pcn, hash_cfg, classifier = _pcn_for(args, csdn.config.use_csconv, csdn_hash)
     cfg = _build(TrainConfig, args)  # sigma and seed, with training's defaults
     rows, summary = evaluate(
         csdn, images, cfg.sigma, seed=cfg.seed, classifier=classifier, pcn=pcn,
@@ -257,16 +244,12 @@ def _cmd_eval(args) -> int:
 def _cmd_flops(args) -> int:
     net, _ = load_model(args.model)
     uses_classes = net.kind == "csdn" and net.config.use_csconv
-    if not uses_classes:
-        _refuse_unread_pcn(args, "for a model without CSConv")
+    pcn, _, _ = _pcn_for(args, uses_classes)  # no hash compared: FLOPs do not depend on one
     report = count_flops(net)
     title = f"{type(net).__name__} {dataclasses.asdict(net.config)}"
     print(report.format(title))
     if uses_classes:
-        if args.pcn is not None:
-            pcn, _ = load_kind(args.pcn, "pcn")
-        else:
-            pcn = build_pcn(PcnConfig())
+        pcn = pcn if pcn is not None else build_pcn(PcnConfig())
         pcn_report = count_flops(pcn)
         combined = report.total_kflops_per_pixel + pcn_report.total_kflops_per_pixel
         print(
@@ -303,7 +286,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("denoise", help="denoise one image with trained models")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--pcn", required=True)
+    p.add_argument("--pcn", default=None, help="classification model (class-specific denoiser)")
     p.add_argument("--csdn", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_denoise)

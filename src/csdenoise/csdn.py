@@ -11,7 +11,7 @@ from . import functional as F
 from .autodiff import Tensor, no_grad
 from .csconv import CsConv2d, dispatch_plan
 from .errors import ConfigError, ShapeError
-from .modules import Conv2d, Module, ModuleList, PReLU
+from .modules import Conv2d, Module, PReLU
 
 
 @dataclass
@@ -92,9 +92,7 @@ class EdsrNet(Module):
         f = cfg.num_features
         self.config = cfg
         self.head = Conv2d(1, f, 3, rng=rng)
-        self.blocks = ModuleList(
-            _ResidualBlock(cfg, rng) for _ in range(cfg.num_blocks)
-        )
+        self.blocks = tuple(_ResidualBlock(cfg, rng) for _ in range(cfg.num_blocks))
         self.tail = Conv2d(f, 1, 3, rng=rng)
 
     def forward(self, x: Tensor, classes=None) -> Tensor:
@@ -124,10 +122,8 @@ class _CascadeBlock(Module):
     def __init__(self, cfg: CsdnConfig, rng):
         super().__init__()
         f = cfg.num_features
-        self.blocks = ModuleList(
-            _ResidualBlock(cfg, rng, grouped_first=True) for _ in range(3)
-        )
-        self.fusions = ModuleList(Conv2d(2 * f, f, 1, rng=rng) for _ in range(3))
+        self.blocks = tuple(_ResidualBlock(cfg, rng, grouped_first=True) for _ in range(3))
+        self.fusions = tuple(Conv2d(2 * f, f, 1, rng=rng) for _ in range(3))
 
     def forward(self, x: Tensor, classes=None) -> Tensor:
         out = x
@@ -153,8 +149,8 @@ class CarnNet(Module):
         f = cfg.num_features
         self.config = cfg
         self.head = Conv2d(1, f, 3, rng=rng)
-        self.cascades = ModuleList(_CascadeBlock(cfg, rng) for _ in range(3))
-        self.global_fusions = ModuleList(Conv2d(2 * f, f, 1, rng=rng) for _ in range(3))
+        self.cascades = tuple(_CascadeBlock(cfg, rng) for _ in range(3))
+        self.global_fusions = tuple(Conv2d(2 * f, f, 1, rng=rng) for _ in range(3))
         self.tail = Conv2d(f, 1, 3, rng=rng)
 
     def forward(self, x: Tensor, classes=None) -> Tensor:

@@ -12,7 +12,8 @@ from .errors import ConfigError
 
 
 class Module:
-    """Base class: attribute assignment registers parameters and children."""
+    """Base class: attribute assignment registers parameters and children.
+    A tuple of modules registers its items as children ``name.0``, ``name.1``, ..."""
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
@@ -23,6 +24,9 @@ class Module:
             self._params[name] = value
         elif isinstance(value, Module):
             self._children[name] = value
+        elif isinstance(value, tuple):
+            self._children.update((f"{name}.{i}", m) for i, m in enumerate(value)
+                                  if isinstance(m, Module))
         object.__setattr__(self, name, value)
 
     def named_parameters(self, prefix: str = ""):
@@ -44,27 +48,6 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-
-class ModuleList(Module):
-    def __init__(self, modules=()):
-        super().__init__()
-        self._items = []
-        for m in modules:
-            self.append(m)
-
-    def append(self, module: Module):
-        self._children[str(len(self._items))] = module
-        self._items.append(module)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
 
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from .gradient_stats import (
     denormalize_stats,
     hash_classes,
 )
-from .modules import Conv2d, GroupConvBlock, GroupResidualBlock, Module, ModuleList
+from .modules import Conv2d, GroupConvBlock, GroupResidualBlock, Module
 
 
 @dataclass
@@ -52,14 +52,10 @@ class PcnNet(Module):
         depth = cfg.num_scales - 1
         self.config = cfg
         self.head = Conv2d(1, cf, 1, rng=rng)
-        self.encoder = ModuleList(GroupConvBlock(cf, cf, rng=rng) for _ in range(depth))
+        self.encoder = tuple(GroupConvBlock(cf, cf, rng=rng) for _ in range(depth))
         self.bottleneck_in = GroupConvBlock(cf, cf, rng=rng)
-        self.bottleneck = ModuleList(
-            GroupResidualBlock(cf, rng=rng) for _ in range(cfg.residual_blocks)
-        )
-        self.decoder = ModuleList(
-            GroupConvBlock(2 * cf, cf, rng=rng) for _ in range(depth)
-        )
+        self.bottleneck = tuple(GroupResidualBlock(cf, rng=rng) for _ in range(cfg.residual_blocks))
+        self.decoder = tuple(GroupConvBlock(2 * cf, cf, rng=rng) for _ in range(depth))
         self.tail = Conv2d(cf, 3, 1, rng=rng)
 
     @property

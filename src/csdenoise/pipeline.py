@@ -218,7 +218,8 @@ def train_csdn(images, cfg: TrainConfig, csdn_cfg: CsdnConfig | None = None,
     """
     csdn_cfg = csdn_cfg if csdn_cfg is not None else CsdnConfig()
     hash_cfg = hash_cfg if hash_cfg is not None else HashConfig()
-    _check_classifier(classifier, pcn)
+    if csdn_cfg.use_csconv:  # a plain denoiser reads no classes
+        _check_classifier(classifier, pcn)
     check_class_count(hash_cfg, csdn_cfg)
     images = _check_images(images, cfg.patch_size)
     net = build_csdn(csdn_cfg, seed=cfg.seed)

@@ -199,6 +199,83 @@ class TestUnreadPcnRefused:
         assert captured.out == ""
 
 
+@pytest.fixture(scope="module")
+def plain_model(tmp_path_factory):
+    """A plain denoiser saved under another hash than the PCN's."""
+    path = tmp_path_factory.mktemp("plain") / "plain.model"
+    save_model(build_csdn(CsdnConfig(num_blocks=1, num_features=4, use_csconv=False,
+                                     num_classes=1)), HashConfig(orientation_bins=2), path)
+    return path
+
+
+NOT_READ = "--pcn is not read"
+NO_NET = "classifier mode 'pcn' needs a trained network"
+# (command, model: class-specific "cs" or "plain", --classifier or None, --pcn given,
+#  exit code, stderr fragment). A --pcn is read only where a class-specific model
+# dispatches on classes with the pcn classifier, the default when --pcn is given.
+PCN_RULE = [
+    ("classify", "cs", None, True, 0, ""),
+    ("classify", "cs", None, False, 0, ""),
+    ("denoise", "cs", None, True, 0, ""),
+    ("denoise", "cs", None, False, 2, NO_NET),
+    ("denoise", "plain", None, True, 2, f"{NOT_READ} for a model without CSConv"),
+    ("denoise", "plain", None, False, 0, ""),
+    ("eval", "cs", None, True, 0, "classifier: pcn"),
+    ("eval", "cs", None, False, 0, "classifier: raisr-noisy"),
+    ("eval", "cs", "raisr-noisy", True, 2, f"{NOT_READ} with classifier raisr-noisy"),
+    ("eval", "cs", "pcn", False, 2, NO_NET),
+    ("eval", "plain", None, True, 2, f"{NOT_READ} for a model without CSConv"),
+    ("eval", "plain", "pcn", True, 2, f"{NOT_READ} for a model without CSConv"),
+    ("eval", "plain", None, False, 0, "classifier: raisr-noisy"),
+    ("eval", "plain", "pcn", False, 0, "classifier: pcn"),
+    ("flops", "cs", None, True, 0, "combined total"),
+    ("flops", "cs", None, False, 0, "combined total"),
+    ("flops", "plain", None, True, 2, f"{NOT_READ} for a model without CSConv"),
+    ("flops", "plain", None, False, 0, "total"),
+    ("train-csdn", "cs", None, True, 0, "saved denoising model"),
+    ("train-csdn", "cs", "raisr-clean", True, 2, f"{NOT_READ} with classifier raisr-clean"),
+    ("train-csdn", "cs", "pcn", False, 2, NO_NET),
+    ("train-csdn", "plain", None, True, 2, f"{NOT_READ} for a model without CSConv"),
+    ("train-csdn", "plain", "pcn", False, 0, "saved denoising model"),
+]
+
+
+class TestPcnRule:
+    @pytest.mark.parametrize(
+        "command, model, classifier, given, rc, fragment", PCN_RULE,
+        ids=["-".join([c, m, k or "default", "pcn" if g else "no-pcn"])
+             for c, m, k, g, _, _ in PCN_RULE])
+    def test_pcn_read_only_where_classes_are(self, tmp_path, data_dir, trained, plain_model,
+                                             capsys, command, model, classifier, given,
+                                             rc, fragment):
+        pcn, csdn = trained
+        model_file = str(plain_model if model == "plain" else csdn)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "classify": ["--in", str(data_dir / "img0.pgm"), "--out", str(out / "map.pgm")]
+            + ([] if given else ["--raisr"]),
+            "denoise": ["--in", str(data_dir / "img0.pgm"), "--csdn", model_file,
+                        "--out", str(out / "x.pgm")],
+            "eval": ["--data", str(data_dir), "--csdn", model_file, "--report", str(out / "r.csv")],
+            "flops": ["--model", model_file],
+            "train-csdn": ["--data", str(data_dir), "--out", str(out / "m.model"),
+                           "--epochs", "1", "--steps-per-epoch", "1", "--batch-size", "1",
+                           "--patch-size", "16", "--num-blocks", "1", "--num-features", "4"]
+            + (["--plain"] if model == "plain" else []),
+        }[command]
+        argv = [command, *argv, *(["--classifier", classifier] if classifier else []),
+                *(["--pcn", str(pcn)] if given else [])]
+        assert run_cli(argv) == rc
+        captured = capsys.readouterr()
+        assert fragment in (captured.err if rc else captured.out)
+        if rc:
+            assert captured.out == ""
+            assert not list(out.iterdir())
+        elif command != "flops":
+            assert list(out.iterdir())
+
+
 class TestDenoiseAndEval:
     def test_denoise_round_trip(self, tmp_path, data_dir, trained):
         pcn, csdn = trained
@@ -255,15 +332,6 @@ class TestDenoiseAndEval:
         # the denoiser's own hash still classifies for it
         assert run_cli(["eval", "--data", str(data_dir), "--report", str(report),
                         "--csdn", str(csdn), "--classifier", "raisr-noisy"]) == 0
-
-    def test_plain_denoiser_takes_any_pcn_hash(self, tmp_path, data_dir, trained):
-        pcn, _ = trained
-        plain = tmp_path / "plain.model"
-        save_model(build_csdn(CsdnConfig(num_blocks=1, num_features=4, use_csconv=False,
-                                         num_classes=1)), HashConfig(orientation_bins=2), plain)
-        rc = run_cli(["denoise", "--in", str(data_dir / "img0.pgm"), "--pcn", str(pcn),
-                      "--csdn", str(plain), "--out", str(tmp_path / "x.pgm")])
-        assert rc == 0
 
     def test_eval_writes_report(self, tmp_path, data_dir, trained):
         pcn, csdn = trained
@@ -455,6 +523,17 @@ class TestConfigFile:
                                              "--out", str(tmp_path / "m.model"),
                                              "--config", str(cfg)])
         assert built[CsdnConfig].num_blocks == 2
+
+    def test_unknown_classifier_exits_two(self, tmp_path, data_dir, plain_model, capsys):
+        """Refused where it is resolved, though a plain denoiser reads no classes."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("classifier = oracle\n")
+        report = tmp_path / "r.csv"
+        rc = run_cli(["eval", "--data", str(data_dir), "--csdn", str(plain_model),
+                      "--report", str(report), "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown classifier 'oracle'" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_malformed_config_exits_two(self, tmp_path, data_dir):
         cfg = tmp_path / "bad.cfg"

@@ -105,7 +105,7 @@ COMMANDS = {
                   [["--raisr", "--pcn", "pcn.model"], ["--pcn", "csdn.model"],
                    ["--pcn", "bad.model"], ["--pcn", "missing.model"]]),
                  *HASH, CONFIG],
-    "denoise": [_req("--in", *IMAGE_IN), _req("--pcn", ["pcn.model"], MODELS[1:]),
+    "denoise": [_req("--in", *IMAGE_IN), _opt("--pcn", ["pcn.model"], MODELS[1:]),
                 _req("--csdn", ["csdn.model", "carn.model", "plain.model"], MODELS),
                 _req("--out", *IMAGE_OUT)],
     "train-pcn": [_req("--data", *DATA), _req("--out", *FILE_OUT),

@@ -207,6 +207,14 @@ class TestTrainCsdn:
         )
         assert all(np.isfinite(h) for h in history)
 
+    def test_plain_baseline_checks_no_classifier(self, micro_images):
+        """A plain denoiser reads no classes, so, as in ``denoise_image``, neither
+        the classifier mode nor a PCN is checked."""
+        cfg, plain = micro_train_cfg(epochs=1), micro_csdn_cfg(use_csconv=False, num_classes=1)
+        _, expected = train_csdn(micro_images, cfg, plain)
+        for classifier in ("pcn", "oracle"):
+            assert train_csdn(micro_images, cfg, plain, classifier=classifier)[1] == expected
+
     def test_finite_losses_over_100_steps(self, micro_images):
         _, history = train_csdn(
             micro_images, micro_train_cfg(epochs=1, steps_per_epoch=100),
