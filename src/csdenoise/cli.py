@@ -122,15 +122,19 @@ def _build(cls, args, **given):
 def _pcn_for(args, reads_classes: bool, hash_cfg: HashConfig | None = None):
     """(--pcn model or None, hash config of the classes, classifier mode), by one rule:
     a --pcn is read only where the model dispatches on classes and the classifier is
-    pcn (the default when --pcn is given), and is refused elsewhere. A read PCN fixes
-    the classes: hash flags are refused, and a denoiser's ``hash_cfg`` must be its own.
-    Without a PCN the classes hash by ``hash_cfg``, or else by the hash flags."""
-    classifier = "pcn"
+    pcn; it is required there and refused elsewhere. The classifier is --classifier
+    where a command has it (pcn when --pcn is given, else raisr-noisy, by default),
+    raisr-noisy with --raisr, and pcn otherwise. A read PCN fixes the classes: hash
+    flags are refused, and a denoiser's ``hash_cfg`` must be its own. Without a PCN
+    the classes hash by ``hash_cfg``, or else by the hash flags."""
+    classifier = "raisr-noisy" if getattr(args, "raisr", False) else "pcn"
     if hasattr(args, "classifier"):
         classifier = _resolve(args, "classifier", "raisr-noisy" if args.pcn is None else "pcn")
     if classifier not in CLASSIFIER_MODES:  # a config-file value, unchecked by argparse
         raise ConfigError(f"unknown classifier {classifier!r}; pick from {CLASSIFIER_MODES}")
     if args.pcn is None:
+        if reads_classes and classifier == "pcn":
+            raise ConfigError("the pcn classifier needs a --pcn model")
         return None, hash_cfg if hash_cfg is not None else _build(HashConfig, args), classifier
     if not (reads_classes and classifier == "pcn"):
         why = f"with classifier {classifier}" if reads_classes else "for a model without CSConv"
@@ -244,7 +248,8 @@ def _cmd_eval(args) -> int:
 def _cmd_flops(args) -> int:
     net, _ = load_model(args.model)
     uses_classes = net.kind == "csdn" and net.config.use_csconv
-    pcn, _, _ = _pcn_for(args, uses_classes)  # no hash compared: FLOPs do not depend on one
+    # the PCN's FLOPs are an optional addition; no hash compared: FLOPs do not depend on one
+    pcn = None if args.pcn is None else _pcn_for(args, uses_classes)[0]
     report = count_flops(net)
     title = f"{type(net).__name__} {dataclasses.asdict(net.config)}"
     print(report.format(title))

@@ -12,21 +12,28 @@ per padded pixel, so a pixel's patch is the K*K whole rows at its corner row
 plus fixed tap offsets; the layer's M weight stacks are reordered to match,
 (M, C_out, K*K*C) with columns in (tap, channel) order. Each segment is worked
 in chunks of ``_CHUNK`` sorted pixels: ``np.take`` gathers a chunk's patches
-into a small reused buffer and one GEMM turns them into output rows, written
-straight to their raster positions.
+into a small reused buffer and one GEMM turns them into output rows, each
+written whole to its raster row of an (N*H*W, C_out) staging array. Once the
+padded rows are dropped, one transposition fills the NCHW output.
+
+Data thus moves between NCHW and pixel-major rows once per layer each way,
+band by band over image rows (``_bands``): a band's pixel rows fit in cache,
+so neither side of the transposition is read from memory at a stride of H*W.
 
 No K*K-sized patch matrix is kept for backward, nor a padded copy: backward
 holds only the input tensor, the layer and the shared plan, pads the input
 again and regathers each chunk's patches, the trade gradient checkpointing
-makes (Chen et al., 2016). Per chunk it adds ``g.T @ patches``
+makes (Chen et al., 2016). It reads the output gradient into pixel rows
+through the same banded transposition. Per chunk it adds ``g.T @ patches``
 to the weight gradient and scatter-adds ``g @ W`` into a padded input
 gradient, one tap at a time, since no two pixels of a tap share a row. Sums
 run in class-sorted order, which is deterministic for a given map.
 
 A residual block's PReLU and skip add run inside the op: the PReLU acts on
-the padded rows as they are built, the skip is added into the output, and
-backward activates the rows it rebuilds again, so the graph keeps neither the
-activation nor the CSConv output (as In-Place ABN does, Rota Bulò et al., 2018).
+each band of padded rows as it is built, the skip is added as the output is
+transposed, and backward activates the rows it rebuilds again, so the graph
+keeps neither the activation nor the CSConv output (as In-Place ABN does, Rota
+Bulò et al., 2018).
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 
 from .autodiff import Tensor, _result
 from .errors import ConfigError, DispatchError, ShapeError
-from .functional import _GEMM_COLS
+from .functional import _GEMM_COLS, _SLAB_BYTES, _parts
 from .modules import Module, kaiming_uniform
 
 
@@ -102,19 +109,50 @@ def dispatch_plan(classes, n: int, h: int, w: int, num_classes: int) -> Dispatch
 _CHUNK = _GEMM_COLS
 
 
-def _patch_source(x: np.ndarray, img, pix, k: int, alpha=None, neg=None):
+def _bands(shape):
+    """(image, row slice) bands of an (N, C, H, W) array, each band's (rows, W, C)
+    block at most ``_SLAB_BYTES``, so a transposition to or from pixel-major rows
+    reads and writes within cache."""
+    n, c, h, w = shape
+    for y0, y1 in _parts(h, max(1, _SLAB_BYTES // (8 * w * c))):
+        for i in range(n):
+            yield i, slice(y0, y1)
+
+
+def _to_pixels(a: np.ndarray, dst: np.ndarray, alpha=None):
+    """Copy (N, C, H, W) ``a`` into (N, H, W, C) ``dst`` band by band; with PReLU
+    slopes ``alpha`` the copy holds ``F.prelu(a, alpha)``."""
+    slopes = None if alpha is None else alpha.reshape(-1)  # broadcast on the channel axis
+    for i, ys in _bands(a.shape):
+        v = dst[i, ys]
+        v[...] = a[i, :, ys].transpose(1, 2, 0)
+        if slopes is not None:  # alpha * x where x < 0, x * 1.0 elsewhere: F.prelu's bits
+            v *= np.where(v < 0, slopes, 1.0)
+
+
+def _to_channels(rows: np.ndarray, out: np.ndarray, skip=None):
+    """Fill (N, C, H, W) ``out`` from its pixel-major (N*H*W, C) ``rows`` band by
+    band, plus ``skip`` when given."""
+    n, c, h, w = out.shape
+    src = rows.reshape(n, h, w, c)
+    for i, ys in _bands(out.shape):
+        v = src[i, ys].transpose(2, 0, 1)
+        if skip is None:
+            out[i, :, ys] = v
+        else:
+            np.add(v, skip[i, :, ys], out=out[i, :, ys])
+
+
+def _patch_source(x: np.ndarray, img, pix, k: int, alpha=None):
     """What the patch gathers read: the zero-padded input as one row of C
     values per padded pixel, the top-left patch row of each pixel ``pix`` of
     image ``img``, and the K*K row offsets of the taps in (ky, kx) order.
-    With PReLU slopes ``alpha`` and ``neg`` = x < 0 the rows hold ``F.prelu(x)``."""
+    With PReLU slopes ``alpha`` the rows hold ``F.prelu(x, alpha)``."""
     n, c, h, w = x.shape
     r = k // 2
     wp = w + 2 * r
     xp = np.zeros((n, h + 2 * r, wp, c))
-    inner = xp[:, r : r + h, r : r + w]
-    inner[...] = x.transpose(0, 2, 3, 1)
-    if alpha is not None:  # alpha * x where x < 0, x * 1.0 elsewhere: F.prelu's bits
-        inner *= np.where(neg, alpha, 1.0).transpose(0, 2, 3, 1)
+    _to_pixels(x, xp[:, r : r + h, r : r + w], alpha)
     corner = (img * (h + 2 * r) + pix // w) * wp + pix % w
     return xp.reshape(-1, c), corner, (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
 
@@ -139,14 +177,15 @@ def _gather(rows, idx, block):
     return np.take(rows, idx, axis=0, out=block, mode="clip").reshape(len(idx), -1)
 
 
-def _backward(grad_out, x, plan, layer, need_input_grad, alpha=None, neg=None):
+def _backward(grad_out, x, plan, layer, need_input_grad, alpha=None):
     """(grad of the convolved rows, grad_kernels, grad_biases) for input ``x``,
     padding (and activating) it again and regathering each chunk's patches."""
     n, c_out, h, w = grad_out.shape
     m, c, k = layer.num_classes, layer.in_channels, layer.kernel_size
     img, pix = np.divmod(plan.order, h * w)
-    rows, corner, taps = _patch_source(x, img, pix, k, alpha, neg)
-    go_rows = grad_out.reshape(n, c_out, h * w).transpose(0, 2, 1)  # a view, (N, H*W, C_out)
+    rows, corner, taps = _patch_source(x, img, pix, k, alpha)
+    go_rows = np.empty((n * h * w, c_out))
+    _to_pixels(grad_out, go_rows.reshape(n, h, w, c_out))
     wmat = _bank_matrix(layer)
     gkmat = np.zeros_like(wmat)
     gb = np.zeros((m, c_out))
@@ -155,7 +194,7 @@ def _backward(grad_out, x, plan, layer, need_input_grad, alpha=None, neg=None):
     gblock, acc = np.empty_like(block), np.empty((len(block), c))
 
     for i, lo, hi in _chunks(plan):
-        g = go_rows[img[lo:hi], pix[lo:hi]]
+        g = go_rows[plan.order[lo:hi]]
         idx = corner[lo:hi, None] + taps
         gkmat[i - 1] += g.T @ _gather(rows, idx, block[: hi - lo])
         gb[i - 1] += g.sum(axis=0)
@@ -201,12 +240,15 @@ def csconv_forward(q: Tensor, classes, layer: CsConv2d, alpha: Tensor | None = N
     plan = dispatch_plan(classes, n, h, w, layer.num_classes)
 
     img, pix = np.divmod(plan.order, h * w)
-    prelu = () if alpha is None else (alpha.data, q.data < 0)
-    rows, corner, taps = _patch_source(q.data, img, pix, layer.kernel_size, *prelu)
+    # output rows in raster order. Staged before the padded rows are built, so
+    # the output takes the padded rows' freed memory: allocated the other way
+    # round, glibc malloc hands each layer's memory back to the OS and faults
+    # it in again (12.2k against 3.6k minor faults per 256x256 CS-EDSR forward)
+    stage = np.empty((n * h * w, c_out))
+    rows, corner, taps = _patch_source(q.data, img, pix, layer.kernel_size,
+                                       None if alpha is None else alpha.data)
     wmat = _bank_matrix(layer)
     bmat = layer.biases.data.reshape(layer.num_classes, c_out)
-    out = np.empty((n, c_out, h, w))
-    out_rows = out.reshape(n, -1, h * w).transpose(0, 2, 1)  # a view, (N, H*W, C_out)
     block = np.empty((min(_CHUNK, corner.size), taps.size, c_in))
     res = np.empty((len(block), c_out))
     for i, lo, hi in _chunks(plan):
@@ -214,18 +256,19 @@ def csconv_forward(q: Tensor, classes, layer: CsConv2d, alpha: Tensor | None = N
         np.matmul(_gather(rows, corner[lo:hi, None] + taps, block[: hi - lo]),
                   wmat[i - 1].T, out=y)
         y += bmat[i - 1]
-        out_rows[img[lo:hi], pix[lo:hi]] = y
-    if skip is not None:
-        out += skip.data
+        stage[plan.order[lo:hi]] = y
+    del rows
+    out = np.empty((n, c_out, h, w))
+    _to_channels(stage, out, None if skip is None else skip.data)
 
     def bw(grad):
-        prelu = () if alpha is None else (alpha.data, q.data < 0)
+        slopes = None if alpha is None else alpha.data
         need_rows = q.requires_grad or (alpha is not None and alpha.requires_grad)
-        gq, gk, gb = _backward(grad, q.data, plan, layer, need_rows, *prelu)
+        gq, gk, gb = _backward(grad, q.data, plan, layer, need_rows, slopes)
         if skip is not None and skip.requires_grad:
             skip._accumulate(grad)
-        if prelu:  # F.prelu's backward expressions, so the bits match
-            slopes, neg = prelu
+        if alpha is not None:  # F.prelu's backward expressions, so the bits match
+            neg = q.data < 0
             if alpha.requires_grad:
                 ga = gq * np.where(neg, q.data, 0.0)
                 alpha._accumulate(ga.sum(axis=(0, 2, 3) if slopes.size > 1 else None)

@@ -11,6 +11,7 @@ from . import functional as F
 from .autodiff import Tensor, no_grad
 from .csconv import CsConv2d, dispatch_plan
 from .errors import ConfigError, ShapeError
+from .gradient_stats import HashConfig
 from .modules import Conv2d, Module, PReLU
 
 
@@ -34,6 +35,15 @@ class CsdnConfig:
             raise ConfigError("carn needs an even feature count (grouped convs)")
         if self.global_residual not in ("feature", "image"):
             raise ConfigError(f"unknown global_residual {self.global_residual!r}")
+
+
+def check_class_count(hash_cfg: HashConfig, csdn_cfg: CsdnConfig):
+    """A class-specific denoiser needs one filter per hash class."""
+    if csdn_cfg.use_csconv and hash_cfg.num_classes != csdn_cfg.num_classes:
+        raise ConfigError(
+            f"class-count mismatch: classifier hashes into {hash_cfg.num_classes} "
+            f"classes, filter bank holds {csdn_cfg.num_classes}"
+        )
 
 
 def _dispatch_plan(cfg: CsdnConfig, x: Tensor, classes):

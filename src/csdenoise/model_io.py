@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csdn import CsdnConfig, build_csdn
+from .csdn import CsdnConfig, build_csdn, check_class_count
 from .errors import CsdError, ModelFormatError
 from .gradient_stats import HashConfig
 from .pcn import PcnConfig, build_pcn
@@ -35,6 +35,8 @@ def _meta_bytes(meta: dict) -> bytes:
 
 def save_model(net, hash_cfg: HashConfig, path, seed: int = 0):
     """Serialize a built network plus its quantizer config; a failed save writes nothing."""
+    if net.kind == "csdn":
+        check_class_count(hash_cfg, net.config)
     params = list(net.named_parameters())
     meta = {
         "kind": net.kind,
@@ -104,7 +106,9 @@ def load_model(path):
             if kind == "pcn":
                 net = build_pcn(PcnConfig(**meta["config"]), seed=seed)
             elif kind == "csdn":
-                net = build_csdn(CsdnConfig(**meta["config"]), seed=seed)
+                cfg = CsdnConfig(**meta["config"])
+                check_class_count(hash_cfg, cfg)
+                net = build_csdn(cfg, seed=seed)
             else:
                 raise ModelFormatError(f"{path}: unknown architecture kind {kind!r}")
         except CsdError:

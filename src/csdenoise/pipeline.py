@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .csdn import CsdnConfig, build_csdn, csdn_forward, csdn_loss
+from .csdn import CsdnConfig, build_csdn, check_class_count, csdn_forward, csdn_loss
 from .errors import ConfigError, CsdError, ShapeError
 from .gradient_stats import (
     HashConfig,
@@ -97,15 +97,6 @@ def _check_images(images, patch_size: int | None = None):
                 f"image {i} ({im.shape}) is smaller than patch size {patch_size}"
             )
     return images
-
-
-def check_class_count(hash_cfg: HashConfig, csdn_cfg: CsdnConfig):
-    """A class-specific denoiser needs one filter per hash class."""
-    if csdn_cfg.use_csconv and hash_cfg.num_classes != csdn_cfg.num_classes:
-        raise ConfigError(
-            f"class-count mismatch: classifier hashes into {hash_cfg.num_classes} "
-            f"classes, filter bank holds {csdn_cfg.num_classes}"
-        )
 
 
 def _check_step_finite(net, loss: float, epoch: int, step: int):

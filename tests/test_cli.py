@@ -209,7 +209,7 @@ def plain_model(tmp_path_factory):
 
 
 NOT_READ = "--pcn is not read"
-NO_NET = "classifier mode 'pcn' needs a trained network"
+NO_NET = "the pcn classifier needs a --pcn model"
 # (command, model: class-specific "cs" or "plain", --classifier or None, --pcn given,
 #  exit code, stderr fragment). A --pcn is read only where a class-specific model
 # dispatches on classes with the pcn classifier, the default when --pcn is given.

@@ -4,6 +4,7 @@ import pytest
 from csdenoise import csconv
 from csdenoise import functional as F
 from csdenoise.autodiff import Tensor, no_grad
+from csdenoise.csdn import CsdnConfig, build_csdn
 from csdenoise.csconv import (
     CsConv2d,
     DispatchPlan,
@@ -206,17 +207,20 @@ class TestBackward:
 def fused_and_unfused(qv, classes, bank, alpha_v, skip_v, grad_out):
     """[output, grad_q, grad_alpha, grad_skip, grad_kernels, grad_biases] of
     sum(output * grad_out), for the fused op and for skip + CSConv(PReLU(q)),
-    each on fresh copies of the inputs and the bank."""
+    each on fresh copies of the inputs and the bank. With ``skip_v`` None
+    there is no skip, and its gradient is None."""
     results = []
     for fused in (True, False):
         layer = copy_layer(bank)
-        q, alpha, skip = (Tensor(v.copy(), requires_grad=True) for v in (qv, alpha_v, skip_v))
+        q, alpha = (Tensor(v.copy(), requires_grad=True) for v in (qv, alpha_v))
+        skip = None if skip_v is None else Tensor(skip_v.copy(), requires_grad=True)
         if fused:
             out = csconv_forward(q, classes, layer, alpha=alpha, skip=skip)
         else:
-            out = skip + csconv_forward(F.prelu(q, alpha), classes, layer)
+            out = csconv_forward(F.prelu(q, alpha), classes, layer)
+            out = out if skip is None else skip + out
         (out * Tensor(grad_out)).sum().backward()
-        results.append([out.data, q.grad, alpha.grad, skip.grad,
+        results.append([out.data, q.grad, alpha.grad, None if skip is None else skip.grad,
                         layer.kernels.grad, layer.biases.grad])
     return results
 
@@ -391,6 +395,61 @@ class TestDispatch:
             csconv_forward(Tensor(rng.random((1, 3, 4, 4))), plan, random_bank(rng, m=5))
 
 
+# Three images of 16 channels, 151 rows of 37 pixels: a band of at most
+# _SLAB_BYTES of (rows, W, C) pixel rows holds 110 rows, so each image is moved
+# to and from pixel-major rows in two bands of unequal height.
+_BANDED = (3, 16, 151, 37)
+# per-channel slopes below 0, at 0, between 0 and 1 and above 1, and shared ones
+_BANDED_SLOPES = {
+    "per-channel": np.resize([-0.5, 0.0, 0.25, 1.5], 16),
+    "shared-negative": [-0.5],
+    "shared-zero": [0.0],
+    "shared-steep": [1.5],
+}
+
+
+class TestBands:
+    """Band edges of the transpositions to and from pixel-major rows."""
+
+    def test_images_cross_band_edges(self):
+        bands = [ys for img, ys in csconv._bands(_BANDED) if img == 0]
+        assert len(bands) > 1
+        assert len({ys.stop - ys.start for ys in bands}) > 1
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_per_pixel_reference(self, rng, k):
+        n, c, h, w = _BANDED
+        bank = random_bank(rng, m=5, c_out=c, c_in=c, k=k)
+        classes = rng.integers(1, 6, size=(n, h, w))
+        xv = rng.standard_normal(_BANDED)
+        gout = rng.standard_normal(_BANDED)
+        ref_out, ref_gx, ref_gk, ref_gb = per_pixel_csconv(xv, classes, bank, gout)
+        x = Tensor(xv.copy(), requires_grad=True)
+        out = csconv_forward(x, classes, bank)
+        (out * Tensor(gout)).sum().backward()
+        assert np.max(np.abs(out.data - ref_out)) < 1e-12
+        assert np.max(np.abs(x.grad - ref_gx)) < 1e-12
+        assert np.max(np.abs(bank.kernels.grad - ref_gk)) < 1e-12
+        assert np.max(np.abs(bank.biases.grad - ref_gb)) < 1e-12
+
+    @pytest.mark.parametrize("with_skip", [True, False], ids=["skip", "no-skip"])
+    @pytest.mark.parametrize("slopes", list(_BANDED_SLOPES))
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_fused_equals_unfused_bit_for_bit(self, rng, k, slopes, with_skip):
+        n, c, h, w = _BANDED
+        bank = random_bank(rng, m=5, c_out=c, c_in=c, k=k)
+        qv = rng.standard_normal(_BANDED)
+        qv[rng.random(qv.shape) < 0.2] = 0.0
+        classes = rng.integers(1, 6, size=(n, h, w))
+        alpha_v = np.array(_BANDED_SLOPES[slopes], dtype=np.float64).reshape(1, -1, 1, 1)
+        skip_v = rng.standard_normal(_BANDED) if with_skip else None
+        gout = rng.standard_normal(_BANDED)
+        fused, unfused = fused_and_unfused(qv, classes, bank, alpha_v, skip_v, gout)
+        names = ["output", "q", "alpha", "skip", "kernels", "biases"]
+        for name, a, b in zip(names, fused, unfused):
+            assert (a is None and b is None) or np.array_equal(a, b), name
+
+
 class TestMemory:
     def test_recorded_forward_keeps_no_patch_matrix(self, rng):
         bank = random_bank(rng, m=5, c_out=16, c_in=16, k=3)
@@ -420,6 +479,20 @@ class TestMemory:
             out, _, peak = traced_bytes(lambda: csconv_forward(x, classes, bank))
         assert out._backward is None
         assert peak < 3.5 * x.data.nbytes
+
+    def test_no_grad_network_forward_keeps_no_layer_buffers(self, rng):
+        net = build_csdn(CsdnConfig(num_blocks=4, num_features=16, num_classes=8), seed=0)
+        x = rng.random((1, 1, 128, 128))
+        classes = rng.integers(1, 9, size=(128, 128))
+        with no_grad():
+            out, held, peak = traced_bytes(lambda: net(Tensor(x), classes))
+        activation = 16 * 128 * 128 * 8
+        # only the one-channel output is held. At the peak a CS block holds the
+        # long skip, its input, its first conv's output, the padded rows and
+        # the staged output rows (5.6 activations); a staged or padded array
+        # kept past its layer would add one activation per layer
+        assert held < out.data.nbytes + activation / 8
+        assert peak < 6 * activation
 
 
 class TestTypes:

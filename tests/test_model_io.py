@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -6,8 +7,9 @@ import pytest
 
 from csdenoise.cli import run_cli
 from csdenoise.csdn import CsdnConfig, build_csdn
-from csdenoise.errors import ModelFormatError
+from csdenoise.errors import ConfigError, ModelFormatError
 from csdenoise.gradient_stats import HashConfig
+from csdenoise.image_io import write_image
 from csdenoise.model_io import load_kind, load_model, save_model
 from csdenoise.pcn import PcnConfig, build_pcn
 
@@ -18,6 +20,11 @@ def small_csdn(seed=0):
                    use_csconv=True, num_classes=8),
         seed=seed,
     )
+
+
+# the 8 classes of small_csdn's filter bank
+HASH8 = HashConfig(orientation_bins=8, strength_bins=1, coherence_bins=1,
+                   strength_thresholds=(), coherence_thresholds=())
 
 
 class TestRoundTrip:
@@ -37,7 +44,7 @@ class TestRoundTrip:
         for _, p in net.named_parameters():
             p.data += rng.standard_normal(p.shape)  # break the init pattern
         path = tmp_path / "m.model"
-        save_model(net, HashConfig(), path)
+        save_model(net, HASH8, path)
         loaded, _ = load_model(path)
         for (na, a), (nb, b) in zip(net.named_parameters(),
                                     loaded.named_parameters()):
@@ -59,7 +66,7 @@ class TestRoundTrip:
 
         net = small_csdn(seed=7)
         path = tmp_path / "m.model"
-        save_model(net, HashConfig(), path)
+        save_model(net, HASH8, path)
         loaded, _ = load_model(path)
         img = rng.random((16, 16))
         classes = rng.integers(1, 9, size=(16, 16))
@@ -71,13 +78,13 @@ class TestRoundTrip:
 class TestAtomicSave:
     def test_failed_save_keeps_the_old_model(self, tmp_path):
         path = tmp_path / "m.model"
-        save_model(small_csdn(seed=1), HashConfig(), path)
+        save_model(small_csdn(seed=1), HASH8, path)
         before = path.read_bytes()
         net = small_csdn(seed=2)
         _, last = list(net.named_parameters())[-1]
         last.data = np.full(last.shape, "x")  # fails after the header and earlier payloads
         with pytest.raises(ValueError):
-            save_model(net, HashConfig(), path)
+            save_model(net, HASH8, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
 
@@ -85,9 +92,37 @@ class TestAtomicSave:
         target = tmp_path / "dir"
         target.mkdir()
         with pytest.raises(OSError):
-            save_model(small_csdn(), HashConfig(), target)
+            save_model(small_csdn(), HASH8, target)
         assert [p.name for p in tmp_path.iterdir()] == ["dir"]
         assert not list(target.iterdir())
+
+
+
+class TestClassCount:
+    """A class-specific denoiser's hash must hash into as many classes as its
+    filter bank holds; the check runs when a model is saved and when it is loaded."""
+
+    def test_save_refuses_a_mismatch(self, tmp_path):
+        path = tmp_path / "m.model"
+        with pytest.raises(ConfigError, match="class-count mismatch"):
+            save_model(small_csdn(), HashConfig(), path)
+        assert not list(tmp_path.iterdir())
+
+    def test_load_refuses_a_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "m.model"
+        save_model(small_csdn(), HASH8, path)
+        _rewrite_meta(path, lambda meta: meta.update(hash=dataclasses.asdict(HashConfig())))
+        with pytest.raises(ConfigError, match="class-count mismatch"):
+            load_kind(path, "csdn")
+        noisy, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_image(np.full((8, 8), 0.5), noisy)
+        for argv in (["denoise", "--in", str(noisy), "--csdn", str(path), "--out", str(out)],
+                     ["flops", "--model", str(path)]):
+            assert run_cli(argv) == 2
+            captured = capsys.readouterr()
+            assert "class-count mismatch: classifier hashes into 72 classes" in captured.err
+            assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm", "m.model"]
 
 
 class TestErrors:
@@ -108,7 +143,7 @@ class TestErrors:
     def test_version_mismatch(self, tmp_path):
         net = small_csdn()
         path = tmp_path / "m.model"
-        save_model(net, HashConfig(), path)
+        save_model(net, HASH8, path)
         raw = bytearray(path.read_bytes())
         raw[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(raw))
@@ -118,7 +153,7 @@ class TestErrors:
     def test_corrupt_length_prefix_names_parameter(self, tmp_path):
         net = small_csdn()
         path = tmp_path / "m.model"
-        save_model(net, HashConfig(), path)
+        save_model(net, HASH8, path)
         raw = bytearray(path.read_bytes())
         meta_len = struct.unpack("<Q", raw[8:16])[0]
         first_prefix = 16 + meta_len
@@ -130,7 +165,7 @@ class TestErrors:
     def test_truncated_payload(self, tmp_path):
         net = small_csdn()
         path = tmp_path / "m.model"
-        save_model(net, HashConfig(), path)
+        save_model(net, HASH8, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(ModelFormatError, match="truncated"):
@@ -139,14 +174,14 @@ class TestErrors:
     def test_trailing_garbage(self, tmp_path):
         net = small_csdn()
         path = tmp_path / "m.model"
-        save_model(net, HashConfig(), path)
+        save_model(net, HASH8, path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(ModelFormatError, match="trailing"):
             load_model(path)
 
     def test_forged_metadata_length_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "m.model"
-        save_model(small_csdn(), HashConfig(), path)
+        save_model(small_csdn(), HASH8, path)
         raw = bytearray(path.read_bytes())
         raw[8:16] = struct.pack("<Q", 2**60)
         path.write_bytes(bytes(raw))
@@ -181,7 +216,7 @@ class TestCorruptContent:
     @pytest.fixture
     def path(self, tmp_path):
         path = tmp_path / "m.model"
-        save_model(small_csdn(), HashConfig(), path)
+        save_model(small_csdn(), HASH8, path)
         return path
 
     def _rejected(self, path, match, capsys):
