@@ -7,8 +7,8 @@ from csdenoise.cli import run_cli
 from csdenoise.csdn import CsdnConfig, build_csdn
 from csdenoise.gradient_stats import HashConfig
 from csdenoise.image_io import read_image, write_image
-from csdenoise.model_io import save_model
-from csdenoise.pcn import PcnConfig
+from csdenoise.model_io import load_model, save_model
+from csdenoise.pcn import PcnConfig, build_pcn
 from csdenoise.pipeline import TrainConfig
 from helpers import subcommand_parsers
 
@@ -444,6 +444,118 @@ class TestFlops:
         total = float(total_line.split()[1])
         assert 145.0 <= total <= 150.0  # denoiser alone, before the classifier line
         assert "combined total" in out
+
+
+CONVENTION = (
+    "convention: MAC=2 FLOPs; conv 2*K^2*(C_in/groups)*C_out per px; CSConv as conv; "
+    "activations/adds/resampling C per px; biases and class lookups free; "
+    "sub-resolution layers scaled by area fraction"
+)
+
+# `flops` output after the title line, per default-config model
+GOLDEN_FLOPS = {
+    "pcn": """\
+  head                             24.0 FLOPs/px
+  encoder.0                       804.0 FLOPs/px
+  down.0                            3.0 FLOPs/px
+  encoder.1                       201.0 FLOPs/px
+  down.1                            0.8 FLOPs/px
+  bottleneck_in                    50.2 FLOPs/px
+  bottleneck.0                     51.0 FLOPs/px
+  bottleneck.1                     51.0 FLOPs/px
+  bottleneck.2                     51.0 FLOPs/px
+  up.1                              3.0 FLOPs/px
+  decoder.0                       363.0 FLOPs/px
+  up.0                             12.0 FLOPs/px
+  decoder.1                      1452.0 FLOPs/px
+  tail                             72.0 FLOPs/px
+  total                           3.138 kFLOPs/px
+""",
+    "cs-edsr": """\
+  head                            288.0 FLOPs/px
+  block.0                        9248.0 FLOPs/px
+  block.1                        9248.0 FLOPs/px
+  block.2                        9248.0 FLOPs/px
+  block.3                        9248.0 FLOPs/px
+  block.4                        9248.0 FLOPs/px
+  block.5                        9248.0 FLOPs/px
+  block.6                        9248.0 FLOPs/px
+  block.7                        9248.0 FLOPs/px
+  block.8                        9248.0 FLOPs/px
+  block.9                        9248.0 FLOPs/px
+  block.10                       9248.0 FLOPs/px
+  block.11                       9248.0 FLOPs/px
+  block.12                       9248.0 FLOPs/px
+  block.13                       9248.0 FLOPs/px
+  block.14                       9248.0 FLOPs/px
+  block.15                       9248.0 FLOPs/px
+  long_skip                        16.0 FLOPs/px
+  tail                            288.0 FLOPs/px
+  total                         148.560 kFLOPs/px
++ classifier (PcnNet): 3.138 kFLOPs/px
+combined total: 151.698 kFLOPs/px
+""",
+    "plain-carn": """\
+  head                            288.0 FLOPs/px
+  cascade.0                     23904.0 FLOPs/px
+  global_fusion.0                1024.0 FLOPs/px
+  cascade.1                     23904.0 FLOPs/px
+  global_fusion.1                1024.0 FLOPs/px
+  cascade.2                     23904.0 FLOPs/px
+  global_fusion.2                1024.0 FLOPs/px
+  tail                            288.0 FLOPs/px
+  total                          75.360 kFLOPs/px
+""",
+}
+
+GOLDEN_NETS = {
+    "pcn": lambda: build_pcn(PcnConfig()),
+    "cs-edsr": lambda: build_csdn(CsdnConfig()),
+    "plain-carn": lambda: build_csdn(CsdnConfig(arch="carn", use_csconv=False, num_classes=1)),
+}
+
+# `eval --sigma 25 --seed 3` of the CLI-trained models, after the config echo
+GOLDEN_EVAL = """\
+# hash: {'orientation_bins': 8, 'strength_bins': 3, 'coherence_bins': 3, \
+'strength_thresholds': (0.0001, 0.001), 'coherence_thresholds': (0.25, 0.5)}
+# classifier: pcn  sigma: 25.0  seed: 3
+image             sigma  psnr_noisy     psnr    ssim
+img0               25.0       20.77    11.56  0.7800
+img1               25.0       20.80     4.04 -0.3280
+img2               25.0       20.76     6.79  0.2693
+mean                          20.78     7.46  0.2404
+"""
+
+GOLDEN_EVAL_CSV = """\
+image,sigma,psnr_noisy,psnr,ssim\r
+img0,25.0,20.7697,11.5577,0.7800\r
+img1,25.0,20.7974,4.0388,-0.3280\r
+img2,25.0,20.7604,6.7875,0.2693\r
+mean,25.0,20.7758,7.4613,0.2404\r
+"""
+
+
+class TestGoldenOutput:
+    """Every line the flops and eval reports print or write, pinned."""
+
+    @pytest.mark.parametrize("name", GOLDEN_FLOPS)
+    def test_flops_report(self, tmp_path, capsys, name):
+        net = GOLDEN_NETS[name]()
+        path = tmp_path / "m.model"
+        save_model(net, HashConfig(), path)
+        assert run_cli(["flops", "--model", str(path)]) == 0
+        title = f"FLOPs report: {type(net).__name__} {dataclasses.asdict(net.config)}"
+        assert capsys.readouterr().out == f"{title}\n{CONVENTION}\n{GOLDEN_FLOPS[name]}"
+
+    def test_eval_report(self, tmp_path, data_dir, trained, capsys):
+        pcn, csdn = trained
+        report = tmp_path / "report.csv"
+        assert run_cli(["eval", "--data", str(data_dir), "--sigma", "25", "--seed", "3",
+                        "--pcn", str(pcn), "--csdn", str(csdn), "--report", str(report)]) == 0
+        config = dataclasses.asdict(load_model(csdn)[0].config)
+        assert capsys.readouterr().out == (
+            f"# config: {config}\n{GOLDEN_EVAL}wrote report: {report}\n")
+        assert report.read_bytes().decode() == GOLDEN_EVAL_CSV
 
 
 def _built_configs(monkeypatch, argv):

@@ -15,11 +15,9 @@ from csdenoise.pipeline import (
     classify_for_denoiser,
     denoise_image,
     evaluate,
-    format_report,
     sample_clean_patch,
     train_csdn,
     train_pcn,
-    write_report_csv,
 )
 from helpers import traced_bytes
 
@@ -265,18 +263,6 @@ class TestEvaluate:
     def test_negative_seed_rejected(self, toy_images):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             evaluate(None, toy_images[:1], 25.0, seed=-1)
-
-    def test_report_files(self, tmp_path, toy_images):
-        rows, summary = evaluate(None, toy_images[:2], 15.0, seed=1)
-        path = tmp_path / "report.csv"
-        write_report_csv(rows, summary, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "image,sigma,psnr_noisy,psnr,ssim"
-        assert len(lines) == 4  # header + 2 images + mean
-        assert lines[-1].startswith("mean,")
-        text = format_report(rows, summary, header="cfg echo")
-        assert text.splitlines()[0] == "# cfg echo"
-        assert "mean" in text.splitlines()[-1]
 
     def test_trained_micro_model_runs_end_to_end(self, micro_images):
         net, _ = train_csdn(micro_images, micro_train_cfg(),
