@@ -17,7 +17,6 @@ import numpy as np
 
 from .csdn import CsdnConfig
 from .errors import ConfigError, CsdError
-from .flops import count_flops
 from .gradient_stats import HashConfig, compute_class_map, normalize_stats
 from .image_io import read_image, write_image
 from .model_io import load_kind, load_model, save_model
@@ -27,10 +26,8 @@ from .pipeline import (
     TrainConfig,
     denoise_image,
     evaluate,
-    format_report,
     train_csdn,
     train_pcn,
-    write_report_csv,
 )
 
 
@@ -234,15 +231,43 @@ def _cmd_eval(args) -> int:
         csdn, images, cfg.sigma, seed=cfg.seed, classifier=classifier, pcn=pcn,
         hash_cfg=hash_cfg, names=names,
     )
-    header = (
-        f"config: {dataclasses.asdict(csdn.config)}\n"
-        f"hash: {dataclasses.asdict(hash_cfg)}\n"
-        f"classifier: {classifier}  sigma: {cfg.sigma}  seed: {cfg.seed}"
-    )
-    print(format_report(rows, summary, header))
-    write_report_csv(rows, summary, args.report)
+    print(f"# config: {dataclasses.asdict(csdn.config)}")
+    print(f"# hash: {dataclasses.asdict(hash_cfg)}")
+    print(f"# classifier: {classifier}  sigma: {cfg.sigma}  seed: {cfg.seed}")
+    _report(rows, summary, args.report)
     print(f"wrote report: {args.report}")
     return 0
+
+
+def _report(rows, summary, path):
+    """Print the results table and write it as CSV (image, sigma, psnr_noisy, psnr,
+    ssim), one row per image plus the mean row."""
+    import csv
+
+    metrics = ("psnr_noisy", "psnr", "ssim")
+    mean = {"image": "mean", "sigma": rows[0]["sigma"],
+            **{key: summary[f"mean_{key}"] for key in metrics}}
+    print(f"{'image':<16s} {'sigma':>6s} {'psnr_noisy':>11s} {'psnr':>8s} {'ssim':>7s}")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["image", "sigma", *metrics])
+        for r in [*rows, mean]:
+            sigma = "" if r is mean else f"{r['sigma']:.1f}"  # the table leaves the mean's blank
+            print(f"{r['image']:<16s} {sigma:>6s} {r['psnr_noisy']:>11.2f} "
+                  f"{r['psnr']:>8.2f} {r['ssim']:>7.4f}")
+            writer.writerow([r["image"], r["sigma"], *(f"{r[key]:.4f}" for key in metrics)])
+
+
+# how every module's flops_per_pixel counts
+_FLOPS_CONVENTION = (
+    "MAC=2 FLOPs; conv 2*K^2*(C_in/groups)*C_out per px; CSConv as conv; "
+    "activations/adds/resampling C per px; biases and class lookups free; "
+    "sub-resolution layers scaled by area fraction"
+)
+
+
+def _kflops(net) -> float:
+    return sum(flops for _, flops in net.flops_layers()) / 1000.0
 
 
 def _cmd_flops(args) -> int:
@@ -250,18 +275,16 @@ def _cmd_flops(args) -> int:
     uses_classes = net.kind == "csdn" and net.config.use_csconv
     # the PCN's FLOPs are an optional addition; no hash compared: FLOPs do not depend on one
     pcn = None if args.pcn is None else _pcn_for(args, uses_classes)[0]
-    report = count_flops(net)
-    title = f"{type(net).__name__} {dataclasses.asdict(net.config)}"
-    print(report.format(title))
+    print(f"FLOPs report: {type(net).__name__} {dataclasses.asdict(net.config)}")
+    print(f"convention: {_FLOPS_CONVENTION}")
+    for name, flops in net.flops_layers():
+        print(f"  {name:<24s} {flops:12.1f} FLOPs/px")
+    total = _kflops(net)
+    print(f"  {'total':<24s} {total:12.3f} kFLOPs/px")
     if uses_classes:
         pcn = pcn if pcn is not None else build_pcn(PcnConfig())
-        pcn_report = count_flops(pcn)
-        combined = report.total_kflops_per_pixel + pcn_report.total_kflops_per_pixel
-        print(
-            f"+ classifier ({type(pcn).__name__}): "
-            f"{pcn_report.total_kflops_per_pixel:.3f} kFLOPs/px"
-        )
-        print(f"combined total: {combined:.3f} kFLOPs/px")
+        print(f"+ classifier ({type(pcn).__name__}): {_kflops(pcn):.3f} kFLOPs/px")
+        print(f"combined total: {total + _kflops(pcn):.3f} kFLOPs/px")
     return 0
 
 
@@ -342,8 +365,8 @@ def run_cli(argv) -> int:
         config = getattr(args, "config", None)
         args._file_config = _parse_config_file(config) if config else {}
         return args.func(args)
-    except (CsdError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CsdError, OSError, MemoryError) as exc:  # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

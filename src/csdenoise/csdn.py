@@ -22,7 +22,6 @@ class CsdnConfig:
     num_features: int = 16
     use_csconv: bool = True
     num_classes: int = 72
-    global_residual: str = "feature"  # "feature" (EDSR convention) or "image"
 
     def __post_init__(self):
         if self.arch not in ("edsr", "carn"):
@@ -33,8 +32,6 @@ class CsdnConfig:
             raise ConfigError("num_classes must be >= 1")
         if self.arch == "carn" and self.num_features % 2:
             raise ConfigError("carn needs an even feature count (grouped convs)")
-        if self.global_residual not in ("feature", "image"):
-            raise ConfigError(f"unknown global_residual {self.global_residual!r}")
 
 
 def check_class_count(hash_cfg: HashConfig, csdn_cfg: CsdnConfig):
@@ -111,18 +108,14 @@ class EdsrNet(Module):
         y = y0
         for block in self.blocks:
             y = block(y, classes)
-        if self.config.global_residual == "feature":
-            return self.tail(y + y0)
-        return self.tail(y) + x
+        return self.tail(y + y0)
 
     def flops_layers(self):
-        f = self.config.num_features
-        rows = [("head", self.head.flops_per_pixel(), 1.0)]
-        rows += [
-            (f"block.{i}", b.flops_per_pixel(), 1.0) for i, b in enumerate(self.blocks)
-        ]
-        rows.append(("long_skip", float(f if self.config.global_residual == "feature" else 1), 1.0))
-        rows.append(("tail", self.tail.flops_per_pixel(), 1.0))
+        """(name, FLOPs/pixel) pairs, in forward order."""
+        rows = [("head", self.head.flops_per_pixel())]
+        rows += [(f"block.{i}", b.flops_per_pixel()) for i, b in enumerate(self.blocks)]
+        rows.append(("long_skip", float(self.config.num_features)))
+        rows.append(("tail", self.tail.flops_per_pixel()))
         return rows
 
 
@@ -172,11 +165,12 @@ class CarnNet(Module):
         return self.tail(out)
 
     def flops_layers(self):
-        rows = [("head", self.head.flops_per_pixel(), 1.0)]
+        """(name, FLOPs/pixel) pairs, in forward order."""
+        rows = [("head", self.head.flops_per_pixel())]
         for i, (cascade, fuse) in enumerate(zip(self.cascades, self.global_fusions)):
-            rows.append((f"cascade.{i}", cascade.flops_per_pixel(), 1.0))
-            rows.append((f"global_fusion.{i}", fuse.flops_per_pixel(), 1.0))
-        rows.append(("tail", self.tail.flops_per_pixel(), 1.0))
+            rows.append((f"cascade.{i}", cascade.flops_per_pixel()))
+            rows.append((f"global_fusion.{i}", fuse.flops_per_pixel()))
+        rows.append(("tail", self.tail.flops_per_pixel()))
         return rows
 
 

@@ -7,7 +7,9 @@ Layout (little-endian):
 
 Metadata records the architecture kind, its config, the hash quantizer
 config and the build seed, so a file alone rebuilds the network. Loading
-then saving again is byte-identical.
+then saving again is byte-identical for files this version writes; an older
+denoiser file loses its ``"global_residual": "feature"`` config entry, the
+one value of a removed option.
 """
 
 from __future__ import annotations
@@ -103,10 +105,14 @@ def load_model(path):
             if not isinstance(declared, list) or not all(isinstance(e, dict) for e in declared):
                 raise ModelFormatError(f"{path}: metadata params must be a list of entries")
             shapes = [tuple(entry.get("shape", ())) for entry in declared]
+            config = {**meta["config"]}  # a copy, and a TypeError for a non-mapping
             if kind == "pcn":
-                net = build_pcn(PcnConfig(**meta["config"]), seed=seed)
+                net = build_pcn(PcnConfig(**config), seed=seed)
             elif kind == "csdn":
-                cfg = CsdnConfig(**meta["config"])
+                residual = config.pop("global_residual", "feature")  # a removed option
+                if residual != "feature":
+                    raise ModelFormatError(f"{path}: unsupported global_residual {residual!r}")
+                cfg = CsdnConfig(**config)
                 check_class_count(hash_cfg, cfg)
                 net = build_csdn(cfg, seed=seed)
             else:

@@ -88,7 +88,8 @@ class PcnNet(Module):
         return self.tail(y)
 
     def flops_layers(self):
-        """(name, flops/pixel at own resolution, area fraction) triples."""
+        """(name, FLOPs/pixel of the full image) pairs, in forward order: a layer
+        below full resolution counts its own FLOPs/pixel times its area fraction."""
         cf = self.config.base_channels
         depth = self.config.num_scales - 1
         rows = [("head", self.head.flops_per_pixel(), 1.0)]
@@ -106,7 +107,7 @@ class PcnNet(Module):
             rows.append((f"up.{s}", float(cf), area))
             rows.append((f"decoder.{depth - 1 - s}", stage.flops_per_pixel(), area))
         rows.append(("tail", self.tail.flops_per_pixel(), 1.0))
-        return rows
+        return [(name, ppf * area) for name, ppf, area in rows]
 
 
 def build_pcn(cfg: PcnConfig | None = None, seed: int = 0) -> PcnNet:

@@ -273,40 +273,3 @@ def evaluate(net, images, sigma: float, seed: int = 0, classifier: str = "raisr-
     summary = {f"mean_{key}": float(np.mean([r[key] for r in rows]))
                for key in ("psnr_noisy", "psnr", "ssim")}
     return rows, summary
-
-
-def write_report_csv(rows, summary, path):
-    """Machine-readable results: image, sigma, psnr_noisy, psnr, ssim."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image", "sigma", "psnr_noisy", "psnr", "ssim"])
-        for r in rows:
-            writer.writerow(
-                [r["image"], r["sigma"], f"{r['psnr_noisy']:.4f}",
-                 f"{r['psnr']:.4f}", f"{r['ssim']:.4f}"]
-            )
-        writer.writerow(
-            ["mean", rows[0]["sigma"] if rows else "",
-             f"{summary['mean_psnr_noisy']:.4f}", f"{summary['mean_psnr']:.4f}",
-             f"{summary['mean_ssim']:.4f}"]
-        )
-
-
-def format_report(rows, summary, header: str = "") -> str:
-    """Plain-text results table, with an optional config-echo header."""
-    lines = []
-    if header:
-        lines.extend(f"# {ln}" for ln in header.splitlines())
-    lines.append(f"{'image':<16s} {'sigma':>6s} {'psnr_noisy':>11s} {'psnr':>8s} {'ssim':>7s}")
-    for r in rows:
-        lines.append(
-            f"{r['image']:<16s} {r['sigma']:>6.1f} {r['psnr_noisy']:>11.2f} "
-            f"{r['psnr']:>8.2f} {r['ssim']:>7.4f}"
-        )
-    lines.append(
-        f"{'mean':<16s} {'':>6s} {summary['mean_psnr_noisy']:>11.2f} "
-        f"{summary['mean_psnr']:>8.2f} {summary['mean_ssim']:>7.4f}"
-    )
-    return "\n".join(lines)

@@ -14,7 +14,6 @@ from csdenoise import functional as F
 from csdenoise.autodiff import Tensor
 from csdenoise.csconv import csconv_forward
 from csdenoise.csdn import CsdnConfig, build_csdn, csdn_loss
-from csdenoise.flops import count_flops
 from csdenoise.gradient_stats import (
     GradientStatsMap,
     HashConfig,
@@ -207,19 +206,16 @@ def test_criterion_04_hash_totality_and_boundaries():
 
 
 def test_criterion_05_flops_reconciliation():
-    edsr16 = count_flops(
-        build_csdn(CsdnConfig(arch="edsr", num_blocks=16, num_features=16,
-                              use_csconv=False, num_classes=1))
-    ).total_kflops_per_pixel
-    carn16 = count_flops(
-        build_csdn(CsdnConfig(arch="carn", num_features=16,
-                              use_csconv=False, num_classes=1))
-    ).total_kflops_per_pixel
-    cs_edsr = count_flops(
-        build_csdn(CsdnConfig(arch="edsr", num_blocks=16, num_features=16,
-                              use_csconv=True, num_classes=72))
-    ).total_kflops_per_pixel
-    pcn = count_flops(build_pcn(PcnConfig())).total_kflops_per_pixel
+    def kflops(net):
+        return sum(flops for _, flops in net.flops_layers()) / 1000.0
+
+    edsr16 = kflops(build_csdn(CsdnConfig(arch="edsr", num_blocks=16, num_features=16,
+                                          use_csconv=False, num_classes=1)))
+    carn16 = kflops(build_csdn(CsdnConfig(arch="carn", num_features=16,
+                                          use_csconv=False, num_classes=1)))
+    cs_edsr = kflops(build_csdn(CsdnConfig(arch="edsr", num_blocks=16, num_features=16,
+                                           use_csconv=True, num_classes=72)))
+    pcn = kflops(build_pcn(PcnConfig()))
     combined = cs_edsr + pcn
 
     ok = (

@@ -75,7 +75,7 @@ CONFIG_FLAGS = {
     "denoise": set(),
     "train-pcn": _field_flags(TrainConfig) | _field_flags(PcnConfig) | _field_flags(HashConfig),
     "train-csdn": _field_flags(TrainConfig) | _field_flags(HashConfig)
-    | _field_flags(CsdnConfig, "use_csconv", "num_classes", "global_residual"),
+    | _field_flags(CsdnConfig, "use_csconv", "num_classes"),
     "eval": {"sigma", "seed"},
     "flops": set(),
 }
@@ -415,6 +415,33 @@ class TestSeedAndThresholds:
         assert "thresholds must be finite" in capsys.readouterr().err
         assert not out.exists()
         assert not list(tmp_path.iterdir())
+
+
+class TestOutOfMemory:
+    """An allocation that cannot be made ends in exit 2 and writes nothing. A batch
+    past 128 TiB fails at once under any overcommit setting, allocating nothing."""
+
+    @pytest.mark.parametrize("command, net_flags", [
+        ("train-pcn", ["--base-channels", "4", "--num-scales", "2"]),
+        ("train-csdn", ["--num-blocks", "1", "--num-features", "4"]),
+    ])
+    def test_huge_batch_exits_two(self, tmp_path, data_dir, capsys, command, net_flags):
+        rc = run_cli([command, "--data", str(data_dir), "--out", str(tmp_path / "m.model"),
+                      "--batch-size", str(10**12), "--patch-size", "16", "--epochs", "1",
+                      "--steps-per-epoch", "1", *net_flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not list(tmp_path.iterdir())
+
+    def test_bare_memory_error_is_named(self, tmp_path, data_dir, monkeypatch, capsys):
+        def train(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "train_pcn", train)
+        out = tmp_path / "m.model"
+        assert run_cli(["train-pcn", "--data", str(data_dir), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
 
 
 class TestFlops:

@@ -78,16 +78,6 @@ class TestEdsr:
         replaced = 2 * (f * f * 9 + f)  # two blocks' second convs, kernel+bias
         assert cs.parameter_count() == plain.parameter_count() + (m - 1) * replaced
 
-    def test_image_space_global_residual_option(self, rng):
-        cfg = CsdnConfig(arch="edsr", num_blocks=1, num_features=4,
-                         use_csconv=False, num_classes=1,
-                         global_residual="image")
-        net = build_csdn(cfg, seed=6)
-        for _, p in net.named_parameters():
-            p.data[...] = 0.0
-        x = rng.random((1, 1, 8, 8))
-        assert np.array_equal(net(Tensor(x), None).data, x)
-
     def test_gradcheck_two_block_net(self, rng):
         net = build_csdn(small_cfg(), seed=7)
         x = Tensor(rng.random((1, 1, 8, 8)))

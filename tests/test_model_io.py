@@ -209,6 +209,46 @@ def _rewrite_meta(path, edit):
     path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + meta_len :])
 
 
+class TestRemovedGlobalResidual:
+    """Denoiser files from before ``CsdnConfig.global_residual`` was removed
+    carry ``"global_residual": "feature"``, the value every network now has."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "old.model"
+        save_model(small_csdn(seed=7), HASH8, path)
+        return path
+
+    def test_feature_value_loads_and_resaves_as_a_fresh_save(self, path, tmp_path, rng):
+        from csdenoise.csdn import csdn_forward
+
+        _rewrite_meta(path, lambda meta: meta["config"].update(global_residual="feature"))
+        loaded, hash_cfg = load_model(path)
+        img = rng.random((16, 16))
+        classes = rng.integers(1, 9, size=(16, 16))
+        assert np.array_equal(csdn_forward(loaded, img, classes),
+                              csdn_forward(small_csdn(seed=7), img, classes))
+        resaved, fresh = tmp_path / "resaved.model", tmp_path / "fresh.model"
+        save_model(loaded, hash_cfg, resaved)
+        save_model(small_csdn(seed=7), HASH8, fresh)
+        assert resaved.read_bytes() == fresh.read_bytes()
+
+    def test_image_value_refused(self, path, tmp_path, capsys):
+        _rewrite_meta(path, lambda meta: meta["config"].update(global_residual="image"))
+        with pytest.raises(ModelFormatError, match="unsupported global_residual 'image'"):
+            load_model(path)
+        data, report = tmp_path / "data", tmp_path / "report.csv"
+        data.mkdir()
+        write_image(np.full((16, 16), 0.5), data / "img.pgm")
+        for argv in (["flops", "--model", str(path)],
+                     ["eval", "--data", str(data), "--csdn", str(path), "--report", str(report)]):
+            assert run_cli(argv) == 2
+            captured = capsys.readouterr()
+            assert "global_residual" in captured.err
+            assert captured.out == ""
+        assert not report.exists()
+
+
 class TestCorruptContent:
     """Corruptions that decode as far as the content: each is a ModelFormatError
     and exit status 2 from the CLI, never another exception."""
@@ -245,6 +285,11 @@ class TestCorruptContent:
 
     def test_param_shape_not_a_sequence(self, path, capsys):
         _rewrite_meta(path, lambda meta: meta["params"][0].update(shape=5))
+        self._rejected(path, "malformed metadata", capsys)
+
+    @pytest.mark.parametrize("config", ["edsr", [["arch", "edsr"]]], ids=["string", "list"])
+    def test_config_not_a_mapping(self, path, capsys, config):
+        _rewrite_meta(path, lambda meta: meta.update(config=config))
         self._rejected(path, "malformed metadata", capsys)
 
     def test_nan_weight(self, path, capsys):
