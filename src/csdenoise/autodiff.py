@@ -1,6 +1,9 @@
 """Dense 4-D tensors with reverse-mode automatic differentiation.
 
-Every tensor is (batch, channels, height, width) in 64-bit floats. Ops
+Every tensor is (batch, channels, height, width). Float32 data stays
+float32 and any other dtype becomes float64; every op's output follows its
+input's dtype. Graphs are float64 only: inference may run in float32 under
+``no_grad``, while training, gradients and parameters stay float64. Ops
 record a backward closure on their output; ``Tensor.backward`` walks the
 graph in reverse topological order. Gradients are read-only, possibly
 shared arrays: an interior node's grad lives until its closure has run;
@@ -49,12 +52,13 @@ def _records_graph(parents) -> bool:
 
 
 class Tensor:
-    """A 4-D float64 array plus optional gradient and graph linkage."""
+    """A 4-D float32 or float64 array plus optional gradient and graph linkage."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        arr = arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
         if arr.ndim != 4:
             raise ShapeError(f"tensors are (N, C, H, W); got {arr.ndim}-d data")
         self.data = arr
@@ -141,6 +145,9 @@ def _result(data: np.ndarray, parents, backward_fn) -> Tensor:
     """Wrap op output, recording the graph edge only when grads can flow."""
     out = Tensor(data)
     if _records_graph(parents):
+        if out.data.dtype != np.float64:  # backward closures compute in float64
+            raise ContractError(f"graphs are float64; got {out.data.dtype} data "
+                                "with grad enabled (run it under no_grad)")
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

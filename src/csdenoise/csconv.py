@@ -14,7 +14,8 @@ plus fixed tap offsets; the layer's M weight stacks are reordered to match,
 in chunks of ``_CHUNK`` sorted pixels: ``np.take`` gathers a chunk's patches
 into a small reused buffer and one GEMM turns them into output rows, each
 written whole to its raster row of an (N*H*W, C_out) staging array. Once the
-padded rows are dropped, one transposition fills the NCHW output.
+padded rows are dropped, one transposition fills the NCHW output. As in
+``functional``, a forward computes in its input's dtype, the bank cast on use.
 
 Data thus moves between NCHW and pixel-major rows once per layer each way,
 band by band over image rows (``_bands``): a band's pixel rows fit in cache,
@@ -109,12 +110,12 @@ def dispatch_plan(classes, n: int, h: int, w: int, num_classes: int) -> Dispatch
 _CHUNK = _GEMM_COLS
 
 
-def _bands(shape):
-    """(image, row slice) bands of an (N, C, H, W) array, each band's (rows, W, C)
-    block at most ``_SLAB_BYTES``, so a transposition to or from pixel-major rows
-    reads and writes within cache."""
+def _bands(shape, itemsize: int = 8):
+    """(image, row slice) bands of an (N, C, H, W) array of ``itemsize``-byte
+    values, each band's (rows, W, C) block at most ``_SLAB_BYTES``, so a
+    transposition to or from pixel-major rows reads and writes within cache."""
     n, c, h, w = shape
-    for y0, y1 in _parts(h, max(1, _SLAB_BYTES // (8 * w * c))):
+    for y0, y1 in _parts(h, max(1, _SLAB_BYTES // (itemsize * w * c))):
         for i in range(n):
             yield i, slice(y0, y1)
 
@@ -122,8 +123,9 @@ def _bands(shape):
 def _to_pixels(a: np.ndarray, dst: np.ndarray, alpha=None):
     """Copy (N, C, H, W) ``a`` into (N, H, W, C) ``dst`` band by band; with PReLU
     slopes ``alpha`` the copy holds ``F.prelu(a, alpha)``."""
-    slopes = None if alpha is None else alpha.reshape(-1)  # broadcast on the channel axis
-    for i, ys in _bands(a.shape):
+    # broadcast on the channel axis, in a's dtype
+    slopes = None if alpha is None else alpha.reshape(-1).astype(a.dtype, copy=False)
+    for i, ys in _bands(a.shape, a.itemsize):
         v = dst[i, ys]
         v[...] = a[i, :, ys].transpose(1, 2, 0)
         if slopes is not None:  # alpha * x where x < 0, x * 1.0 elsewhere: F.prelu's bits
@@ -135,7 +137,7 @@ def _to_channels(rows: np.ndarray, out: np.ndarray, skip=None):
     band, plus ``skip`` when given."""
     n, c, h, w = out.shape
     src = rows.reshape(n, h, w, c)
-    for i, ys in _bands(out.shape):
+    for i, ys in _bands(out.shape, out.itemsize):
         v = src[i, ys].transpose(2, 0, 1)
         if skip is None:
             out[i, :, ys] = v
@@ -151,7 +153,7 @@ def _patch_source(x: np.ndarray, img, pix, k: int, alpha=None):
     n, c, h, w = x.shape
     r = k // 2
     wp = w + 2 * r
-    xp = np.zeros((n, h + 2 * r, wp, c))
+    xp = np.zeros((n, h + 2 * r, wp, c), x.dtype)
     _to_pixels(x, xp[:, r : r + h, r : r + w], alpha)
     corner = (img * (h + 2 * r) + pix // w) * wp + pix % w
     return xp.reshape(-1, c), corner, (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
@@ -164,10 +166,10 @@ def _chunks(plan: DispatchPlan):
             yield i, lo, min(lo + _CHUNK, stop)
 
 
-def _bank_matrix(layer: CsConv2d) -> np.ndarray:
-    """(M, C_out, K*K*C) weights, columns in a patch's (tap, channel) order."""
+def _bank_matrix(layer: CsConv2d, dtype) -> np.ndarray:
+    """(M, C_out, K*K*C) weights in ``dtype``, columns in a patch's (tap, channel) order."""
     m, c_out, c, k = layer.num_classes, layer.out_channels, layer.in_channels, layer.kernel_size
-    stacks = layer.kernels.data.reshape(m, c_out, c, k * k)
+    stacks = layer.kernels.data.astype(dtype, copy=False).reshape(m, c_out, c, k * k)
     return stacks.transpose(0, 1, 3, 2).reshape(m, c_out, -1)
 
 
@@ -186,7 +188,7 @@ def _backward(grad_out, x, plan, layer, need_input_grad, alpha=None):
     rows, corner, taps = _patch_source(x, img, pix, k, alpha)
     go_rows = np.empty((n * h * w, c_out))
     _to_pixels(grad_out, go_rows.reshape(n, h, w, c_out))
-    wmat = _bank_matrix(layer)
+    wmat = _bank_matrix(layer, x.dtype)
     gkmat = np.zeros_like(wmat)
     gb = np.zeros((m, c_out))
     gxp = np.zeros_like(rows) if need_input_grad else None
@@ -244,13 +246,14 @@ def csconv_forward(q: Tensor, classes, layer: CsConv2d, alpha: Tensor | None = N
     # the output takes the padded rows' freed memory: allocated the other way
     # round, glibc malloc hands each layer's memory back to the OS and faults
     # it in again (12.2k against 3.6k minor faults per 256x256 CS-EDSR forward)
-    stage = np.empty((n * h * w, c_out))
+    dtype = q.data.dtype  # every buffer and the cast weights follow the input
+    stage = np.empty((n * h * w, c_out), dtype)
     rows, corner, taps = _patch_source(q.data, img, pix, layer.kernel_size,
                                        None if alpha is None else alpha.data)
-    wmat = _bank_matrix(layer)
-    bmat = layer.biases.data.reshape(layer.num_classes, c_out)
-    block = np.empty((min(_CHUNK, corner.size), taps.size, c_in))
-    res = np.empty((len(block), c_out))
+    wmat = _bank_matrix(layer, dtype)
+    bmat = layer.biases.data.astype(dtype, copy=False).reshape(layer.num_classes, c_out)
+    block = np.empty((min(_CHUNK, corner.size), taps.size, c_in), dtype)
+    res = np.empty((len(block), c_out), dtype)
     for i, lo, hi in _chunks(plan):
         y = res[: hi - lo]
         np.matmul(_gather(rows, corner[lo:hi, None] + taps, block[: hi - lo]),
@@ -258,7 +261,7 @@ def csconv_forward(q: Tensor, classes, layer: CsConv2d, alpha: Tensor | None = N
         y += bmat[i - 1]
         stage[plan.order[lo:hi]] = y
     del rows
-    out = np.empty((n, c_out, h, w))
+    out = np.empty((n, c_out, h, w), dtype)
     _to_channels(stage, out, None if skip is None else skip.data)
 
     def bw(grad):

@@ -10,7 +10,7 @@ import numpy as np
 from . import functional as F
 from .autodiff import Tensor, no_grad
 from .csconv import CsConv2d, dispatch_plan
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, CsdError, ShapeError
 from .gradient_stats import HashConfig
 from .modules import Conv2d, Module, PReLU
 
@@ -180,13 +180,22 @@ def build_csdn(cfg: CsdnConfig, seed: int = 0):
 
 
 def csdn_forward(net, noisy: np.ndarray, classes=None) -> np.ndarray:
-    """Denoise one image outside the training graph. Output is not clipped."""
-    noisy = np.asarray(noisy, dtype=np.float64)
+    """Denoise one image outside the training graph. Output is float64 and
+    not clipped; a non-finite output raises ``CsdError``.
+
+    The network runs in float32: each layer casts its float64 weights on use,
+    so weights, model files, training graphs and the PCN stay float64."""
+    noisy = np.asarray(noisy)
     if noisy.ndim != 2:
         raise ShapeError(f"expected (H, W) image, got {noisy.shape}")
-    with no_grad():
-        out = net.forward(Tensor(noisy[None, None]), classes)
-    return out.data[0, 0]
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = net.forward(Tensor(noisy[None, None].astype(np.float32)), classes)
+    out = out.data[0, 0].astype(np.float64)
+    if not np.isfinite(out).all():
+        raise CsdError(f"denoised image has {np.count_nonzero(~np.isfinite(out))} of "
+                       f"{out.size} pixels non-finite: the input or the network's "
+                       "weights overflow float32")
+    return out
 
 
 def csdn_loss(estimate: Tensor, clean: Tensor) -> Tensor:

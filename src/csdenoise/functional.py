@@ -3,6 +3,9 @@ resampling, channel concatenation for U-net skips, L1 loss.
 
 Convolutions are stride-1 with zero padding of K//2, so spatial extents
 are preserved. All kernels are (C_out, C_in/groups, K, K) with odd K.
+Forwards compute in their input's dtype: buffers follow it, byte budgets
+count its item size, and float64 weights are cast to it on use, a no-op
+for float64 input. Backward runs only on float64 graphs.
 
 ``conv2d`` and both its gradients are one zero-padded stride-1
 correlation (im2col, Chellapilla et al., 2006) worked per image in blocks
@@ -66,13 +69,13 @@ def _slab_spans(a: np.ndarray, k: int, groups: int):
     if a.size == 0:
         return
     r = k // 2
-    blocks = _parts(h, max(1, _SLAB_BYTES // (8 * c * k * k * w)))
+    blocks = _parts(h, max(1, _SLAB_BYTES // (a.itemsize * c * k * k * w)))
     if k > 1:
         rows = blocks[0][1]
-        padded = np.zeros((c, rows + 2 * r, w + 2 * r))  # a block's rows and halo
+        padded = np.zeros((c, rows + 2 * r, w + 2 * r), a.dtype)  # a block's rows and halo
         # window (ky, kx) of output pixel (y, x) as (c, ky, kx, y, x): a view
         patches = sliding_window_view(padded, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
-        buf = np.empty(c * k * k * rows * w)
+        buf = np.empty(c * k * k * rows * w, a.dtype)
     for img in range(n):
         for y0, y1 in blocks:
             m = y1 - y0
@@ -92,16 +95,17 @@ def _slab_spans(a: np.ndarray, k: int, groups: int):
 
 def _correlate(a: np.ndarray, kernel: np.ndarray, groups: int, bias=None) -> np.ndarray:
     """Zero-padded stride-1 correlation of (N, C, H, W) ``a`` with the
-    (C_out, C/groups, K, K) ``kernel``, plus ``bias`` (1, C_out, 1, 1)."""
+    (C_out, C/groups, K, K) ``kernel``, plus ``bias`` (1, C_out, 1, 1), in
+    ``a``'s dtype."""
     n, _, h, w = a.shape
     c_out, _, k, _ = kernel.shape
-    wmat = kernel.reshape(groups, c_out // groups, -1)
-    out = np.empty((n, c_out, h, w))
+    wmat = kernel.astype(a.dtype, copy=False).reshape(groups, c_out // groups, -1)
+    out = np.empty((n, c_out, h, w), a.dtype)
     dst = out.reshape(n, groups, c_out // groups, h * w)
     for img, cols, src in _slab_spans(a, k, groups):
         np.matmul(wmat, src, out=dst[img, :, :, cols])
     if bias is not None:
-        out += bias
+        out += bias.astype(a.dtype, copy=False)
     return out
 
 
@@ -152,7 +156,7 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
         raise ShapeError(
             f"alpha must have {c} channels or be shared, got {alpha.shape}"
         )
-    out = np.where(x.data < 0, alpha.data * x.data, x.data)
+    out = np.where(x.data < 0, alpha.data.astype(x.data.dtype, copy=False) * x.data, x.data)
 
     def bw(g):
         neg = x.data < 0
@@ -192,7 +196,7 @@ def _upsample_axis(x: np.ndarray, axis: int) -> np.ndarray:
     out[2i] = .25 x[i-1] + .75 x[i] and out[2i+1] = .75 x[i] + .25 x[i+1]."""
     shape = list(x.shape)
     shape[axis] *= 2
-    out = np.empty(shape)
+    out = np.empty(shape, x.dtype)
     xm, om = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
     q, t = 0.25 * xm, 0.75 * xm
     np.add(q[:1], t[:1], out=om[:1])

@@ -55,8 +55,11 @@ def save_model(net, hash_cfg: HashConfig, path, seed: int = 0):
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            for _, p in params:
+            for name, p in params:
                 data = np.ascontiguousarray(p.data, dtype="<f8")
+                if not np.isfinite(data).all():  # load_model would refuse the file
+                    raise ModelFormatError(f"{path}: parameter {name!r} holds non-finite "
+                                           "values; not saved")
                 fh.write(struct.pack("<Q", data.size))
                 fh.write(data.tobytes())
         os.replace(tmp, path)

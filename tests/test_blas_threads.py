@@ -1,8 +1,9 @@
-"""Training gives the same bits at any BLAS thread count.
+"""Training and float32 inference give the same bits at any BLAS thread count.
 
 Each net trains in a fresh interpreter at one and at two OpenBLAS threads,
-which must agree on the loss history and on every parameter byte. OpenBLAS
-picks its thread count when it loads, so this cannot run in-process.
+which must agree on the loss history and on every parameter byte, and then
+denoises in float32, which must agree on every output byte. OpenBLAS picks
+its thread count when it loads, so this cannot run in-process.
 """
 
 import json
@@ -19,11 +20,11 @@ WORKER = r"""
 import hashlib, json
 import numpy as np
 from csdenoise import functional as F
-from csdenoise.autodiff import Tensor
-from csdenoise.csdn import CsdnConfig
+from csdenoise.autodiff import Tensor, no_grad
+from csdenoise.csdn import CsdnConfig, csdn_forward
 from csdenoise.gradient_stats import HashConfig
 from csdenoise.pcn import PcnConfig
-from csdenoise.pipeline import TrainConfig, train_csdn, train_pcn
+from csdenoise.pipeline import TrainConfig, classify_for_denoiser, train_csdn, train_pcn
 
 def digest(arrays):
     h = hashlib.sha256()
@@ -44,10 +45,17 @@ nets = {
     "cs-carn": lambda: train_csdn(images, cfg, CsdnConfig(arch="carn", num_blocks=2),
                                   hash_cfg=HashConfig()),
 }
-result = {}
+result, trained = {}, {}
 for name, train in nets.items():
     net, history = train()
+    trained[name] = net
     result[name] = [history, digest(p.data for _, p in net.named_parameters())]
+
+# float32 inference of the trained class-specific denoisers
+noisy = images[0] + 0.1 * np.random.default_rng(6).standard_normal(images[0].shape)
+classes = classify_for_denoiser(noisy, None, "raisr-noisy").indices
+for name in ("cs-edsr", "cs-carn"):
+    result[name + "-float32"] = [[], digest([csdn_forward(trained[name], noisy, classes)])]
 
 # one padded row wider than a GEMM may be: every row splits into column spans
 rng = np.random.default_rng(5)
@@ -57,6 +65,9 @@ b = Tensor(rng.standard_normal((1, 16, 1, 1)), requires_grad=True)
 out = F.conv2d(x, k, b)
 (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
 result["wide-conv2d"] = [[], digest([out.data, x.grad, k.grad, b.grad])]
+with no_grad():
+    out = F.conv2d(Tensor(x.data.astype(np.float32)), k, b)
+result["wide-conv2d-float32"] = [[], digest([out.data])]
 print(json.dumps(result))
 """
 
@@ -75,7 +86,9 @@ def runs():
     return _run(1), _run(2)
 
 
-@pytest.mark.parametrize("name", ["pcn", "plain-edsr", "cs-edsr", "cs-carn", "wide-conv2d"])
+@pytest.mark.parametrize("name", ["pcn", "plain-edsr", "cs-edsr", "cs-carn", "wide-conv2d",
+                                  "cs-edsr-float32", "cs-carn-float32",
+                                  "wide-conv2d-float32"])
 def test_same_bits_at_one_and_two_threads(runs, name):
     one, two = runs
     assert one[name] == two[name]

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from csdenoise import cli
@@ -295,6 +296,24 @@ class TestDenoiseAndEval:
                             "--pcn", str(pcn), "--csdn", str(csdn),
                             "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("scale", [1e300, 1e39], ids=["float64-overflow", "float32-overflow"])
+    def test_non_finite_output_exits_two(self, tmp_path, capsys, scale):
+        """Huge head and tail weights: a 1e39 weight is finite in the model file
+        but overflows float32. The denoised image is refused, not written black."""
+        net = build_csdn(CsdnConfig(num_blocks=1, num_features=4, use_csconv=False,
+                                    num_classes=1))
+        net.head.kernel.data[...] = scale
+        net.tail.kernel.data[...] = scale
+        model, noisy, out = tmp_path / "m.model", tmp_path / "in.pgm", tmp_path / "out.pgm"
+        save_model(net, HashConfig(), model)
+        write_image(np.full((32, 32), 0.5), noisy)
+        assert run_cli(["denoise", "--in", str(noisy), "--csdn", str(model),
+                        "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_class_count_mismatch_exits_two(self, tmp_path, data_dir, trained, capsys):
         _, csdn = trained

@@ -3,7 +3,7 @@ import pytest
 
 from csdenoise.autodiff import Tensor
 from csdenoise.csdn import CsdnConfig, build_csdn, csdn_forward, csdn_loss
-from csdenoise.errors import ConfigError, DispatchError
+from csdenoise.errors import ConfigError, CsdError, DispatchError
 from helpers import fd_worst_rel_err_params
 
 
@@ -173,6 +173,16 @@ class TestForwardWrapper:
         # head + 2 blocks of two 3x3 convs + tail: radius 1 + 2*2 + 1 = 6
         assert moved.size > 0
         assert np.all(np.abs(moved - 12).max(axis=1) <= 6)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e39])
+    def test_non_finite_output_raises(self, rng, scale):
+        """RuntimeWarnings are errors here, so this also shows that the explicit
+        check, not numpy's overflow warning, is what reports the failure."""
+        net = build_csdn(small_cfg(use_csconv=False), seed=12)
+        net.head.kernel.data[...] = scale
+        net.tail.kernel.data[...] = scale
+        with pytest.raises(CsdError, match="non-finite"):
+            csdn_forward(net, rng.random((16, 16)))
 
     def test_loss_examples(self, rng):
         a = rng.random((1, 1, 5, 5))

@@ -97,6 +97,32 @@ class TestAtomicSave:
         assert not list(target.iterdir())
 
 
+class TestNonFiniteSave:
+    """A parameter that load_model would refuse is refused at save, before the
+    file at ``path`` changes."""
+
+    @staticmethod
+    def _nan_pcn():
+        net = build_pcn(PcnConfig(base_channels=4, num_scales=2, residual_blocks=1), seed=1)
+        net.tail.bias.data[0, 1] = np.nan
+        return net
+
+    def test_nothing_written(self, tmp_path):
+        path = tmp_path / "pcn.model"
+        with pytest.raises(ModelFormatError, match="'tail.bias' holds non-finite values"):
+            save_model(self._nan_pcn(), HashConfig(), path)
+        assert not list(tmp_path.iterdir())
+
+    def test_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "pcn.model"
+        save_model(build_pcn(PcnConfig(base_channels=4, num_scales=2, residual_blocks=1)),
+                   HashConfig(), path)
+        before = path.read_bytes()
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            save_model(self._nan_pcn(), HashConfig(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pcn.model"]
+
 
 class TestClassCount:
     """A class-specific denoiser's hash must hash into as many classes as its
