@@ -191,10 +191,10 @@ def csdn_forward(net, noisy: np.ndarray, classes=None) -> np.ndarray:
     with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked below
         out = net.forward(Tensor(noisy[None, None].astype(np.float32)), classes)
     out = out.data[0, 0].astype(np.float64)
-    if not np.isfinite(out).all():
-        raise CsdError(f"denoised image has {np.count_nonzero(~np.isfinite(out))} of "
-                       f"{out.size} pixels non-finite: the input or the network's "
-                       "weights overflow float32")
+    bad = np.count_nonzero(~np.isfinite(out))
+    if bad:
+        raise CsdError(f"denoised image has {bad} of {out.size} pixels non-finite: "
+                       "the input or the network's weights overflow float32")
     return out
 
 
