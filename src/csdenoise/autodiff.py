@@ -31,7 +31,7 @@ import numbers
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, CsdError, ShapeError
 
 _grad_enabled = contextvars.ContextVar("csdenoise_grad_enabled", default=True)
 
@@ -44,6 +44,19 @@ def no_grad():
         yield
     finally:
         _grad_enabled.reset(token)
+
+
+def finite_float64(values: np.ndarray, what: str) -> np.ndarray:
+    """A float64 copy of an inference forward's ``values``, or ``CsdError``
+    counting the non-finite ones. Such a forward runs under
+    ``np.errstate(over="ignore", invalid="ignore")``: this check, not a
+    numpy warning, reports the overflow."""
+    out = values.astype(np.float64)
+    bad = np.count_nonzero(~np.isfinite(out))
+    if bad:
+        raise CsdError(f"{what} has {bad} of {out.size} values non-finite: "
+                       f"the input or the network's weights overflow {values.dtype}")
+    return out
 
 
 def _records_graph(parents) -> bool:

@@ -170,7 +170,7 @@ def _cmd_classify(args) -> int:
     img = read_image(args.infile)
     net, hash_cfg, _ = _pcn_for(args, reads_classes=True)
     if net is not None:
-        stats, cmap = pcn_class_map(net, img, hash_cfg)
+        stats, cmap = pcn_class_map(net, img.astype(np.float32), hash_cfg)  # as denoise does
     else:
         stats, cmap = compute_class_map(img, hash_cfg)
     out = Path(args.out)

@@ -9,8 +9,11 @@ it to every CSConv layer, since all of them share the class map.
 
 A layer pads its input once, pixel-major, and views it as one row of C values
 per padded pixel, so a pixel's patch is the K*K whole rows at its corner row
-plus fixed tap offsets; the layer's M weight stacks are reordered to match,
-(M, C_out, K*K*C) with columns in (tap, channel) order. Each segment is worked
+plus fixed tap offsets. The padded rows start on a 64-byte cache line, so a
+row of 16 float32 values is one line, not two. The layer's M weight stacks
+are reordered to match, with the K*K*C patch entries in (tap, channel) order:
+forward multiplies by a contiguous (M, K*K*C, C_out) copy, a plain (NN)
+product, and backward works with (M, C_out, K*K*C). Each segment is worked
 in chunks of ``_CHUNK`` sorted pixels: ``np.take`` gathers a chunk's patches
 into a small reused buffer and one GEMM turns them into output rows, each
 written whole to its raster row of an (N*H*W, C_out) staging array. Once the
@@ -31,10 +34,12 @@ gradient, one tap at a time, since no two pixels of a tap share a row. Sums
 run in class-sorted order, which is deterministic for a given map.
 
 A residual block's PReLU and skip add run inside the op: the PReLU acts on
-each band of padded rows as it is built, the skip is added as the output is
-transposed, and backward activates the rows it rebuilds again, so the graph
-keeps neither the activation nor the CSConv output (as In-Place ABN does, Rota
-Bulò et al., 2018).
+each band of padded rows as it is built, as the branch-free ``max(x, 0) +
+alpha * min(x, 0)`` (``np.where`` on a random sign mask costs about three
+times as much), the skip is added as the output is transposed, and backward
+activates the rows it rebuilds again, so the graph keeps neither the
+activation nor the CSConv output (as In-Place ABN does, Rota Bulò et al.,
+2018).
 """
 
 from __future__ import annotations
@@ -122,14 +127,26 @@ def _bands(shape, itemsize: int = 8):
 
 def _to_pixels(a: np.ndarray, dst: np.ndarray, alpha=None):
     """Copy (N, C, H, W) ``a`` into (N, H, W, C) ``dst`` band by band; with PReLU
-    slopes ``alpha`` the copy holds ``F.prelu(a, alpha)``."""
+    slopes ``alpha`` the copy holds ``F.prelu(a, alpha)``.
+
+    The PReLU is ``max(x, 0) + alpha * min(x, 0)``, its negative part built in
+    one band-sized scratch buffer. One of the two terms is a zero, so the sum
+    has ``F.prelu``'s bits for every value, NaN and infinities included, except
+    the sign of a zero result: a -0.0 input, or a negative one under a zero
+    slope, gives +0.0 where ``F.prelu`` gives -0.0."""
     # broadcast on the channel axis, in a's dtype
     slopes = None if alpha is None else alpha.reshape(-1).astype(a.dtype, copy=False)
+    scratch = None
     for i, ys in _bands(a.shape, a.itemsize):
         v = dst[i, ys]
         v[...] = a[i, :, ys].transpose(1, 2, 0)
-        if slopes is not None:  # alpha * x where x < 0, x * 1.0 elsewhere: F.prelu's bits
-            v *= np.where(v < 0, slopes, 1.0)
+        if slopes is not None:
+            if scratch is None:  # the first band is the largest
+                scratch = np.empty(v.size, a.dtype)
+            neg = np.minimum(v, 0, out=scratch[: v.size].reshape(v.shape))
+            neg *= slopes
+            np.maximum(v, 0, out=v)
+            v += neg
 
 
 def _to_channels(rows: np.ndarray, out: np.ndarray, skip=None):
@@ -145,6 +162,15 @@ def _to_channels(rows: np.ndarray, out: np.ndarray, skip=None):
             np.add(v, skip[i, :, ys], out=out[i, :, ys])
 
 
+def _zeros_aligned(shape, dtype) -> np.ndarray:
+    """``np.zeros(shape, dtype)`` starting on a 64-byte cache line
+    (``np.zeros`` itself returns addresses 16 past one)."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    buf = np.zeros(nbytes + 64, np.uint8)
+    start = -buf.ctypes.data % 64
+    return buf[start : start + nbytes].view(dtype).reshape(shape)
+
+
 def _patch_source(x: np.ndarray, img, pix, k: int, alpha=None):
     """What the patch gathers read: the zero-padded input as one row of C
     values per padded pixel, the top-left patch row of each pixel ``pix`` of
@@ -153,7 +179,7 @@ def _patch_source(x: np.ndarray, img, pix, k: int, alpha=None):
     n, c, h, w = x.shape
     r = k // 2
     wp = w + 2 * r
-    xp = np.zeros((n, h + 2 * r, wp, c), x.dtype)
+    xp = _zeros_aligned((n, h + 2 * r, wp, c), x.dtype)
     _to_pixels(x, xp[:, r : r + h, r : r + w], alpha)
     corner = (img * (h + 2 * r) + pix // w) * wp + pix % w
     return xp.reshape(-1, c), corner, (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
@@ -250,14 +276,16 @@ def csconv_forward(q: Tensor, classes, layer: CsConv2d, alpha: Tensor | None = N
     stage = np.empty((n * h * w, c_out), dtype)
     rows, corner, taps = _patch_source(q.data, img, pix, layer.kernel_size,
                                        None if alpha is None else alpha.data)
-    wmat = _bank_matrix(layer, dtype)
+    # (M, K*K*C, C_out), contiguous: a chunk's product is NN, not NT, which for
+    # chunks of a few hundred rows is the faster OpenBLAS kernel
+    wmat = np.ascontiguousarray(_bank_matrix(layer, dtype).transpose(0, 2, 1))
     bmat = layer.biases.data.astype(dtype, copy=False).reshape(layer.num_classes, c_out)
     block = np.empty((min(_CHUNK, corner.size), taps.size, c_in), dtype)
     res = np.empty((len(block), c_out), dtype)
     for i, lo, hi in _chunks(plan):
         y = res[: hi - lo]
         np.matmul(_gather(rows, corner[lo:hi, None] + taps, block[: hi - lo]),
-                  wmat[i - 1].T, out=y)
+                  wmat[i - 1], out=y)
         y += bmat[i - 1]
         stage[plan.order[lo:hi]] = y
     del rows

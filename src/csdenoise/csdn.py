@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, finite_float64, no_grad
 from .csconv import CsConv2d, dispatch_plan
-from .errors import ConfigError, CsdError, ShapeError
+from .errors import ConfigError, ShapeError
 from .gradient_stats import HashConfig
 from .modules import Conv2d, Module, PReLU
 
@@ -184,18 +184,13 @@ def csdn_forward(net, noisy: np.ndarray, classes=None) -> np.ndarray:
     not clipped; a non-finite output raises ``CsdError``.
 
     The network runs in float32: each layer casts its float64 weights on use,
-    so weights, model files, training graphs and the PCN stay float64."""
+    so weights, model files and training graphs stay float64."""
     noisy = np.asarray(noisy)
     if noisy.ndim != 2:
         raise ShapeError(f"expected (H, W) image, got {noisy.shape}")
     with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked below
         out = net.forward(Tensor(noisy[None, None].astype(np.float32)), classes)
-    out = out.data[0, 0].astype(np.float64)
-    bad = np.count_nonzero(~np.isfinite(out))
-    if bad:
-        raise CsdError(f"denoised image has {bad} of {out.size} pixels non-finite: "
-                       "the input or the network's weights overflow float32")
-    return out
+    return finite_float64(out.data[0, 0], "denoised image")
 
 
 def csdn_loss(estimate: Tensor, clean: Tensor) -> Tensor:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, finite_float64, no_grad
 from .errors import ConfigError, ShapeError
 from .gradient_stats import (
     GradientStatsMap,
@@ -119,8 +119,13 @@ def pcn_forward(net: PcnNet, noisy: np.ndarray) -> GradientStatsMap:
     """Predict gradient statistics for one (H, W) noisy image, clamped to
     valid ranges. An image the net's scale factor does not divide is
     reflect-padded at its bottom and right edges, and the prediction is
-    cropped back; no graph is recorded."""
-    noisy = np.asarray(noisy, dtype=np.float64)
+    cropped back; no graph is recorded.
+
+    The net runs in the image's dtype as ``Tensor`` holds it: a float32
+    image in float32 (inference classifies so), any other in float64
+    (training does). The stats are float64 either way, and a non-finite
+    prediction raises ``CsdError``."""
+    noisy = np.asarray(noisy)
     if noisy.ndim != 2:
         raise ShapeError(f"expected (H, W) image, got {noisy.shape}")
     h, w = noisy.shape
@@ -129,9 +134,9 @@ def pcn_forward(net: PcnNet, noisy: np.ndarray) -> GradientStatsMap:
         if pad_h >= h or pad_w >= w:
             raise ShapeError(f"reflect pad ({pad_h},{pad_w}) too large for {h}x{w}")
         noisy = np.pad(noisy, ((0, pad_h), (0, pad_w)), mode="reflect")
-    with no_grad():
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked below
         raw = net.forward(Tensor(noisy[None, None])).data[0, :, :h, :w]
-    return denormalize_stats(raw)
+    return denormalize_stats(finite_float64(raw, "gradient statistics prediction"))
 
 
 def pcn_class_map(net: PcnNet, noisy: np.ndarray, cfg: HashConfig):

@@ -232,12 +232,16 @@ def train_csdn(images, cfg: TrainConfig, csdn_cfg: CsdnConfig | None = None,
 
 def denoise_image(net, noisy: np.ndarray, classifier: str = "raisr-noisy", pcn=None,
                   hash_cfg: HashConfig | None = None, clean: np.ndarray | None = None):
-    """Classify (for a class-specific net), denoise and clip one image to [0, 1]."""
+    """Classify (for a class-specific net), denoise and clip one image to [0, 1].
+
+    The PCN classifies a float32 copy of the image, as the denoiser runs in
+    float32; the raisr modes read the image as given."""
     hash_cfg = hash_cfg if hash_cfg is not None else HashConfig()
     check_class_count(hash_cfg, net.config)
     classes = None
     if net.config.use_csconv:
-        classes = classify_for_denoiser(noisy, clean, classifier, pcn, hash_cfg).indices
+        image = np.asarray(noisy, np.float32) if classifier == "pcn" else noisy
+        classes = classify_for_denoiser(image, clean, classifier, pcn, hash_cfg).indices
     return np.clip(csdn_forward(net, noisy, classes), 0.0, 1.0)
 
 

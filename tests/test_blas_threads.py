@@ -2,8 +2,8 @@
 
 Each net trains in a fresh interpreter at one and at two OpenBLAS threads,
 which must agree on the loss history and on every parameter byte, and then
-denoises in float32, which must agree on every output byte. OpenBLAS picks
-its thread count when it loads, so this cannot run in-process.
+classifies and denoises in float32, which must agree on every output byte.
+OpenBLAS picks its thread count when it loads, so this cannot run in-process.
 """
 
 import json
@@ -56,6 +56,9 @@ noisy = images[0] + 0.1 * np.random.default_rng(6).standard_normal(images[0].sha
 classes = classify_for_denoiser(noisy, None, "raisr-noisy").indices
 for name in ("cs-edsr", "cs-carn"):
     result[name + "-float32"] = [[], digest([csdn_forward(trained[name], noisy, classes)])]
+# float32 classification of the trained PCN, as inference runs it
+pcn_map = classify_for_denoiser(noisy.astype(np.float32), None, "pcn", trained["pcn"]).indices
+result["pcn-float32"] = [[], digest([pcn_map])]
 
 # one padded row wider than a GEMM may be: every row splits into column spans
 rng = np.random.default_rng(5)
@@ -87,7 +90,7 @@ def runs():
 
 
 @pytest.mark.parametrize("name", ["pcn", "plain-edsr", "cs-edsr", "cs-carn", "wide-conv2d",
-                                  "cs-edsr-float32", "cs-carn-float32",
+                                  "cs-edsr-float32", "cs-carn-float32", "pcn-float32",
                                   "wide-conv2d-float32"])
 def test_same_bits_at_one_and_two_threads(runs, name):
     one, two = runs

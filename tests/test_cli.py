@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from csdenoise import cli
+from csdenoise import cli, pipeline
 from csdenoise.cli import run_cli
 from csdenoise.csdn import CsdnConfig, build_csdn
 from csdenoise.gradient_stats import HashConfig
@@ -122,6 +122,28 @@ class TestClassify:
         rc = run_cli(["classify", "--in", str(data_dir / "img1.pgm"),
                       "--pcn", str(pcn), "--out", str(out)])
         assert rc == 0 and out.exists()
+
+    def test_pcn_map_is_the_one_denoise_dispatches_on(self, tmp_path, data_dir, trained,
+                                                      monkeypatch):
+        """``classify --pcn`` and ``denoise`` both classify in float32."""
+        pcn, csdn = trained
+        dispatched = []
+        forward = pipeline.csdn_forward
+
+        def spy(net, noisy, classes=None):
+            dispatched.append(classes)
+            return forward(net, noisy, classes)
+
+        monkeypatch.setattr(pipeline, "csdn_forward", spy)
+        img, out = data_dir / "img1.pgm", tmp_path / "map.pgm"
+        assert run_cli(["classify", "--in", str(img), "--pcn", str(pcn), "--out", str(out)]) == 0
+        assert run_cli(["denoise", "--in", str(img), "--pcn", str(pcn), "--csdn", str(csdn),
+                        "--out", str(tmp_path / "d.pgm")]) == 0
+        m = HashConfig().num_classes
+        # the map is written as (class - 1) / (M - 1) in 8 bits; M < 128 rounds back
+        written = np.rint(read_image(out) * (m - 1)).astype(np.int64) + 1
+        assert len(dispatched) == 1
+        assert np.array_equal(written, dispatched[0])
 
     def test_needs_exactly_one_source(self, tmp_path, data_dir):
         rc = run_cli(["classify", "--in", str(data_dir / "img0.pgm"),
@@ -314,6 +336,36 @@ class TestDenoiseAndEval:
         assert "non-finite" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,scale", [
+        ("classify", 1e300), ("classify", 1e39), ("denoise", 1e300), ("denoise", 1e39),
+        ("eval", 1e300), ("eval", 1e39), ("train-csdn", 1e300),
+    ])
+    def test_non_finite_pcn_exits_two(self, tmp_path, data_dir, capsys, command, scale):
+        """Huge PCN head and tail weights: 1e300 overflows the float64 forward that
+        training classifies with, 1e39 only the float32 one of inference. The
+        prediction is refused, not clamped into a class map, and nothing is written."""
+        pcn = build_pcn(PcnConfig(base_channels=4, num_scales=2, residual_blocks=1))
+        pcn.head.kernel.data[...] = scale
+        pcn.tail.kernel.data[...] = scale
+        pcn_path, csdn_path = tmp_path / "pcn.model", tmp_path / "csdn.model"
+        save_model(pcn, HashConfig(), pcn_path)
+        save_model(build_csdn(CsdnConfig(num_blocks=1, num_features=4)), HashConfig(), csdn_path)
+        out = tmp_path / "out"
+        argv = {
+            "classify": ["--in", str(data_dir / "img0.pgm"), "--out", f"{out}.pgm"],
+            "denoise": ["--in", str(data_dir / "img0.pgm"), "--csdn", str(csdn_path),
+                        "--out", f"{out}.pgm"],
+            "eval": ["--data", str(data_dir), "--csdn", str(csdn_path), "--report", f"{out}.csv"],
+            "train-csdn": ["--data", str(data_dir), "--out", f"{out}.model", "--classifier", "pcn",
+                           "--epochs", "1", "--steps-per-epoch", "1", "--batch-size", "1",
+                           "--patch-size", "16", "--num-blocks", "1", "--num-features", "4"],
+        }[command]
+        assert run_cli([command, "--pcn", str(pcn_path)] + argv) == 2
+        captured = capsys.readouterr()
+        assert "gradient statistics prediction has" in captured.err
+        assert "non-finite" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["csdn.model", "pcn.model"]
 
     def test_class_count_mismatch_exits_two(self, tmp_path, data_dir, trained, capsys):
         _, csdn = trained

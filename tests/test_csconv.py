@@ -450,6 +450,55 @@ class TestBands:
             assert (a is None and b is None) or np.array_equal(a, b), name
 
 
+class TestPreluFill:
+    """The fused PReLU's branch-free fill, max(x, 0) + alpha * min(x, 0), against
+    ``F.prelu`` on the values where the two forms could part."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_prelu_on_special_values(self, dtype):
+        tiny = np.finfo(dtype)
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, tiny.max, -tiny.max,
+                  tiny.tiny, -tiny.tiny, tiny.smallest_subnormal, -tiny.smallest_subnormal]
+        slopes = np.array([0.25, 0.0, -0.5, 1.5, -0.0]).reshape(1, -1, 1, 1)
+        x = np.broadcast_to(np.array(values, dtype), (2, slopes.size, 3, len(values))).copy()
+        dst = np.empty(x.transpose(0, 2, 3, 1).shape, dtype)
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, 1.5 * max
+            csconv._to_pixels(x, dst, slopes)
+            ref = F.prelu(Tensor(x), Tensor(slopes)).data
+        got = dst.transpose(0, 3, 1, 2)
+        assert got.dtype == ref.dtype == dtype
+        assert np.array_equal(got, ref, equal_nan=True)
+        # the bits agree everywhere but in the sign of a zero
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        assert np.all((got.view(bits) == ref.view(bits)) | (ref == 0) | np.isnan(ref))
+
+    def test_sign_of_zero_is_the_one_difference(self):
+        x = np.array([-0.0, -1.0]).reshape(1, 1, 1, 2)
+        dst = np.empty((1, 1, 2, 1))
+        csconv._to_pixels(x, dst, np.zeros((1, 1, 1, 1)))
+        ref = F.prelu(Tensor(x), Tensor(np.zeros((1, 1, 1, 1)))).data
+        assert np.all(np.signbit(ref)) and not np.any(np.signbit(dst))
+
+
+class TestPatchSource:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c,w", [(16, 7), (16, 31), (3, 13)])
+    def test_rows_start_on_a_cache_line(self, rng, dtype, c, w):
+        """Every 16-channel row starts on a 64-byte line (a float32 one fills it),
+        and the padded rows hold the zero-padded input."""
+        n, h, k = 2, 5, 3
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        plan = dispatch_plan(np.ones((h, w), np.int64), n, h, w, 1)
+        img, pix = np.divmod(plan.order, h * w)
+        rows, _, _ = csconv._patch_source(x, img, pix, k)
+        assert rows.dtype == dtype
+        assert rows.ctypes.data % 64 == 0
+        if c == 16:
+            assert rows.strides[0] % 64 == 0
+        padded = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (1, 1), (1, 1), (0, 0)))
+        assert np.array_equal(rows.reshape(padded.shape), padded)
+
+
 class TestMemory:
     def test_recorded_forward_keeps_no_patch_matrix(self, rng):
         bank = random_bank(rng, m=5, c_out=16, c_in=16, k=3)

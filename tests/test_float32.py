@@ -1,4 +1,5 @@
-"""Inference in float32: every op follows its input's dtype.
+"""Inference in float32: every op follows its input's dtype, and so do the
+denoiser's and the classifier's forwards.
 
 Weights stay float64 and each layer casts them on use, so float64 input
 keeps its bits (the rest of the suite checks those) while float32 input
@@ -16,9 +17,13 @@ from csdenoise.autodiff import Tensor, no_grad
 from csdenoise.csconv import csconv_forward
 from csdenoise.csdn import CsdnConfig, build_csdn, csdn_forward
 from csdenoise.errors import ContractError
+from csdenoise.gradient_stats import HashConfig, denormalize_stats
 from csdenoise.image_io import quantize_unit
 from csdenoise.modules import Conv2d
+from csdenoise.pcn import build_pcn, pcn_class_map, pcn_forward
+from csdenoise.pipeline import TrainConfig, add_awgn, train_pcn
 
+from conftest import make_toy_images
 from helpers import cs_layer, traced_bytes
 
 
@@ -163,4 +168,59 @@ class TestCsdnForward:
 
         _, _, peak64 = traced_bytes(float64_forward)
         _, _, peak32 = traced_bytes(lambda: csdn_forward(net, img, classes))
+        assert peak32 <= 0.6 * peak64
+
+
+def _stats_equal(a, b):
+    for field in ("orientation", "strength", "coherence"):
+        got, ref = getattr(a, field), getattr(b, field)
+        assert got.dtype == ref.dtype == np.float64, field
+        assert np.array_equal(got, ref), field
+
+
+class TestPcnForward:
+    """``pcn_forward`` runs the PCN in its image's dtype: inference classifies a
+    float32 image, training a float64 one. The stats are float64 either way."""
+
+    def test_float32_image_runs_the_net_in_float32(self, rng):
+        net = build_pcn(seed=3)
+        img = rng.random((32, 32)).astype(np.float32)
+        with no_grad():
+            raw = net(Tensor(img[None, None])).data[0]
+        assert raw.dtype == np.float32
+        _stats_equal(pcn_forward(net, img), denormalize_stats(raw.astype(np.float64)))
+
+    def test_other_dtypes_run_in_float64(self, rng):
+        """A float64 image keeps the bits of the float64 forward, and other
+        dtypes are read as float64, as ``Tensor`` reads them."""
+        net = build_pcn(seed=3)
+        img = rng.integers(0, 4, (32, 32))
+        ref = denormalize_stats(net(Tensor(img[None, None].astype(np.float64))).data[0])
+        for dtype in (np.float64, np.float16, np.int64):
+            _stats_equal(pcn_forward(net, img.astype(dtype)), ref)
+
+    def test_class_maps_flip_at_most_1e4_of_pixels(self):
+        """A briefly trained PCN on noisy 256x256 images: float32 classification
+        moves at most 1e-4 of the pixels to another class."""
+        cfg = TrainConfig(batch_size=2, patch_size=32, epochs=1, steps_per_epoch=20,
+                          learning_rate=1e-3)
+        net, _ = train_pcn(make_toy_images(size=64, seed=11), cfg)
+        rng = np.random.default_rng(5)
+        flips = total = 0
+        for clean in make_toy_images(size=256, seed=0):
+            noisy = add_awgn(clean, 25.0, rng)
+            ref = pcn_class_map(net, noisy, HashConfig())[1].indices
+            got = pcn_class_map(net, noisy.astype(np.float32), HashConfig())[1].indices
+            assert np.unique(ref).size >= 48  # the maps are far from trivial
+            flips += np.count_nonzero(got != ref)
+            total += ref.size
+        assert flips <= 1e-4 * total
+
+    def test_peak_memory_falls(self):
+        """At 256x256 the float32 forward peaks at most 0.6x the float64 one."""
+        net = build_pcn()
+        img = _noisy(256)
+        img32 = img.astype(np.float32)
+        _, _, peak64 = traced_bytes(lambda: pcn_forward(net, img))
+        _, _, peak32 = traced_bytes(lambda: pcn_forward(net, img32))
         assert peak32 <= 0.6 * peak64
