@@ -26,6 +26,8 @@ bits at any BLAS thread count.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -146,7 +148,7 @@ def relu(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g * (x.data > 0))
 
-    return _result(np.where(x.data > 0, x.data, 0.0), (x,), bw)
+    return _result(np.fmax(x.data, 0.0), (x,), bw)  # NaN and -0 give +0, as x > 0 does
 
 
 def prelu(x: Tensor, alpha: Tensor) -> Tensor:
@@ -193,16 +195,26 @@ def avg_downsample2x(x: Tensor) -> Tensor:
 
 def _upsample_axis(x: np.ndarray, axis: int) -> np.ndarray:
     """Half-pixel-centered 2x along ``axis`` with clamped edges:
-    out[2i] = .25 x[i-1] + .75 x[i] and out[2i+1] = .75 x[i] + .25 x[i+1]."""
+    out[2i] = .25 x[i-1] + .75 x[i] and out[2i+1] = .75 x[i] + .25 x[i+1].
+
+    Works on (rows, trailing) views, a row being one index along ``axis``:
+    each sum runs over all rows at once, shifted by one, and the rows at a
+    block's edges, which took a neighbour from the next block, are redone
+    clamped. Along the last axis each sum is one long loop."""
+    n = x.shape[axis]
     shape = list(x.shape)
     shape[axis] *= 2
     out = np.empty(shape, x.dtype)
-    xm, om = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
-    q, t = 0.25 * xm, 0.75 * xm
-    np.add(q[:1], t[:1], out=om[:1])
-    np.add(q[:-1], t[1:], out=om[2::2])
-    np.add(t[:-1], q[1:], out=om[1:-1:2])
-    np.add(t[-1:], q[-1:], out=om[-1:])
+    if out.size == 0:
+        return out
+    rows = x.reshape(-1, math.prod(shape[axis + 1 :]))
+    pairs = out.reshape(len(rows), 2, -1)  # (source row, even/odd output, trailing)
+    even, odd = pairs[:, 0], pairs[:, 1]
+    q, t = 0.25 * rows, 0.75 * rows
+    np.add(q[:-1], t[1:], out=even[1:])
+    np.add(t[:-1], q[1:], out=odd[:-1])
+    np.add(q[::n], t[::n], out=even[::n])
+    np.add(t[n - 1 :: n], q[n - 1 :: n], out=odd[n - 1 :: n])
     return out
 
 
@@ -211,16 +223,27 @@ def _upsample_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
     its left-tap terms (outputs 2i+1, 2i+2) and ``hi`` its right-tap terms
     (outputs 2i-1, 2i), each in output order, with the clamped output 0
     first in lo[0] and the clamped last output last in hi[-1]. That is the
-    addition order of a sequential scatter-add, so the sums round alike."""
-    gm = np.moveaxis(g, axis, 0)
-    even, odd = gm[0::2], gm[1::2]
+    addition order of a sequential scatter-add, so the sums round alike.
+    The shifted adds run over all rows at once, as in ``_upsample_axis``;
+    a block's edge rows are put back to what they held before them."""
+    n = g.shape[axis] // 2
+    shape = list(g.shape)
+    shape[axis] = n
+    if g.size == 0:
+        return np.zeros(shape, g.dtype)
+    pairs = g.reshape(-1, 2, math.prod(shape[axis + 1 :]))
+    even, odd = pairs[:, 0], pairs[:, 1]
     lo, hi = 0.75 * odd, 0.75 * even
-    lo[:1] += 0.25 * even[:1]
+    lo[::n] += 0.25 * even[::n]
+    last = lo[n - 1 :: n].copy()
     lo[:-1] += 0.25 * even[1:]
+    lo[n - 1 :: n] = last
+    first = hi[::n].copy()
     hi[1:] += 0.25 * odd[:-1]
-    hi[-1:] += 0.25 * odd[-1:]
+    hi[::n] = first
+    hi[n - 1 :: n] += 0.25 * odd[n - 1 :: n]
     lo += hi
-    return np.moveaxis(lo, 0, axis)
+    return lo.reshape(shape)
 
 
 def bilinear_upsample2x(x: Tensor) -> Tensor:

@@ -8,6 +8,8 @@ analysis of the noisy or clean patch).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +148,23 @@ def classify_for_denoiser(noisy: np.ndarray, clean: np.ndarray | None,
 # The protocol halves the learning rate every 20 epochs.
 LR_HALVING_EPOCHS = 20
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+
+
+@functools.cache
+def _keep_heap_resident() -> bool:
+    """Stop glibc returning freed memory to the OS, so a training step does
+    not fault in again the pages the last one freed: arrays under 32 MiB
+    (glibc's own mmap-threshold ceiling on 64-bit) come from the heap, and
+    up to 64 MiB of free heap stays mapped (its dynamic rule's 2:1 ratio).
+    False, with nothing set, where there is no glibc ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no glibc, or no process symbols
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 64 << 20)])
+
 
 def _fit(net, images, cfg: TrainConfig, step_loss):
     """Adam loop shared by both stages; returns the per-epoch mean loss history.
@@ -153,7 +172,12 @@ def _fit(net, images, cfg: TrainConfig, step_loss):
     Each step draws a batch of clean patches and their noisy copies, both
     (batch, 1, patch, patch), and ``step_loss(clean, noisy)`` maps it to the
     scalar loss tensor of ``net``.
+
+    The first call keeps glibc's freed heap mapped (``_keep_heap_resident``)
+    for the rest of the process: glibc cannot go back to its dynamic
+    thresholds.
     """
+    _keep_heap_resident()
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(net.parameters(), learning_rate=cfg.learning_rate)
     shape = (cfg.batch_size, 1, cfg.patch_size, cfg.patch_size)

@@ -198,6 +198,23 @@ class TestConv2dAgainstPerTapReference:
         assert peak < 1.5 * x.data.nbytes
 
 
+class TestRelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_where_form_on_special_values(self, dtype):
+        # x > 0 keeps x and sends NaN and -0 to +0; np.fmax must do the same
+        info = np.finfo(dtype)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0,
+                           info.max, -info.max, info.tiny, -info.tiny,
+                           info.smallest_subnormal, -info.smallest_subnormal], dtype)
+        # odd lengths and a strided view reach the vector loops' tails
+        x = np.resize(values, (2, 3, 5, 2 * len(values) + 1))
+        for view in (x, x[..., ::2]):
+            got = F.relu(Tensor(view)).data
+            want = np.where(view > 0, view, 0.0)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+
 class TestPrelu:
     def test_positive_passthrough(self):
         out = F.prelu(Tensor(np.full((1, 1, 1, 1), 3.0)),
