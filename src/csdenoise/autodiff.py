@@ -5,14 +5,17 @@ float32 and any other dtype becomes float64; every op's output follows its
 input's dtype. Graphs are float64 only: inference may run in float32 under
 ``no_grad``, while training, gradients and parameters stay float64. Ops
 record a backward closure on their output; ``Tensor.backward`` walks the
-graph in reverse topological order. Gradients are read-only, possibly
-shared arrays: an interior node's grad lives until its closure has run;
-leaf grads accumulate across calls until cleared, so callers zero grads
-before each step. A backward closure captures its parents, shapes and
-index bookkeeping, never an array its parents' ``.data`` can rebuild: it
-pads, masks and lays out again from ``.data`` when it runs, and recomputing
-a cheap activation of a parent's ``.data`` counts as rebuilding it. So
-mutating a recorded tensor's ``.data`` before ``backward()`` is unsupported.
+graph in reverse topological order and consumes it as it goes, so a graph
+is differentiated once: a node's closure and parent links are dropped once
+the closure has run, and an activation is freed when no closure left reads
+it. Gradients are read-only, possibly shared arrays: an interior node's
+grad lives until its closure has run; leaf grads accumulate across graphs
+until cleared, so callers zero grads before each step. A backward closure
+captures its parents, shapes and index bookkeeping, never an array its
+parents' ``.data`` can rebuild: it pads, masks and lays out again from
+``.data`` when it runs, and recomputing a cheap activation of a parent's
+``.data`` counts as rebuilding it. So mutating a recorded tensor's
+``.data`` before ``backward()`` is unsupported.
 
 The core keeps the arithmetic graphs record, ``add`` and scalar ``mul``,
 and the tensor ``mul`` and ``tsum`` that gradient checks build losses from.
@@ -57,6 +60,9 @@ def finite_float64(values: np.ndarray, what: str) -> np.ndarray:
         raise CsdError(f"{what} has {bad} of {out.size} values non-finite: "
                        f"the input or the network's weights overflow {values.dtype}")
     return out
+
+
+_SPENT = object()  # the ``_backward`` of a node whose closure ``backward()`` has run
 
 
 def _records_graph(parents) -> bool:
@@ -110,8 +116,12 @@ class Tensor:
 
         The loss must be scalar-shaped (1,1,1,1); its grad is left at ones.
         A node adopts its first gradient and adds later ones out of place.
-        Interior grads are released (``None``) once their closure has run;
-        leaf grads (parameters, inputs) accumulate.
+        A graph is differentiated once: each node's closure and parent links
+        are dropped as soon as the closure has run, so an activation is freed
+        once the last closure reading it is done, and a second call through
+        any part of a spent graph raises ``ContractError`` before any closure
+        runs. Interior grads are released (``None``) too; leaf grads
+        (parameters, inputs) accumulate across graphs until cleared.
         """
         if self.data.shape != (1, 1, 1, 1):
             raise ContractError(f"backward needs a (1,1,1,1) loss, got {self.shape}")
@@ -125,6 +135,9 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _SPENT:
+                raise ContractError("backward through a graph an earlier backward() "
+                                    "consumed: build the loss again")
             seen.add(id(node))
             if node._backward is not None:  # interior grads start empty
                 node.grad = None
@@ -133,9 +146,11 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones((1, 1, 1, 1)))
-        for node in reversed(order):
+        while order:  # popped in reverse topological order: the list keeps no spent node
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward, node._parents = _SPENT, ()
                 if node is not self:
                     node.grad = None
 

@@ -13,7 +13,8 @@ of whole output rows: a block's rows and K//2 halo are copied into a small
 zero-bordered buffer, its (C*K*K, rows*W) patch slab is laid out in one
 reused buffer of at most ``_SLAB_BYTES``, and one GEMM per column span,
 batched over the groups, writes the output in place; a 1x1 kernel's slab
-is the input itself. The input gradient correlates the output gradient
+is the input itself, and on one channel per group its product is an outer
+product, done as a broadcast multiply with the GEMMs' bits. The input gradient correlates the output gradient
 with the flipped kernel, channels swapped within each group: a gather, with
 no scatter or padded gradient. The kernel gradient sums each span's output
 gradient times its patches. Only results are full-size.
@@ -104,8 +105,11 @@ def _correlate(a: np.ndarray, kernel: np.ndarray, groups: int, bias=None) -> np.
     wmat = kernel.astype(a.dtype, copy=False).reshape(groups, c_out // groups, -1)
     out = np.empty((n, c_out, h, w), a.dtype)
     dst = out.reshape(n, groups, c_out // groups, h * w)
-    for img, cols, src in _slab_spans(a, k, groups):
-        np.matmul(wmat, src, out=dst[img, :, :, cols])
+    if wmat.shape[2] == 1:  # a 1x1 kernel on one channel per group: an outer product
+        np.multiply(a.reshape(n, groups, 1, h * w), wmat, out=dst)
+    else:
+        for img, cols, src in _slab_spans(a, k, groups):
+            np.matmul(wmat, src, out=dst[img, :, :, cols])
     if bias is not None:
         out += bias.astype(a.dtype, copy=False)
     return out

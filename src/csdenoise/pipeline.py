@@ -175,7 +175,9 @@ def _fit(net, images, cfg: TrainConfig, step_loss):
 
     The first call keeps glibc's freed heap mapped (``_keep_heap_resident``)
     for the rest of the process: glibc cannot go back to its dynamic
-    thresholds.
+    thresholds. Each step's graph is differentiated once and dropped before
+    ``opt.step()``, so the backward frees activations as it goes and Adam's
+    moments, allocated at its first step, take memory the graph freed.
     """
     _keep_heap_resident()
     rng = np.random.default_rng(cfg.seed)
@@ -195,7 +197,7 @@ def _fit(net, images, cfg: TrainConfig, step_loss):
             net.zero_grads()
             loss.backward()
             losses.append(loss.item())
-            del loss  # the step's graph goes before the next batch's forward
+            del loss  # backward() freed the graph as it ran; the loss holds its value alone
             _check_step_finite(net, losses[-1], epoch, step)
             opt.step()
         history.append(float(np.mean(losses)))

@@ -142,6 +142,23 @@ class TestConv2dAgainstPerTapReference:
         assert np.max(np.abs(kt.grad - ref_gk)) < 1e-12
         assert np.max(np.abs(bt.grad - ref_gb)) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_one_channel_1x1_bits_match_gemm(self, rng, dtype, groups):
+        # a 1x1 kernel on one channel per group (the PCN head) runs as an
+        # outer product; these are the bits of the (C_out/groups x 1) GEMMs
+        x = rng.standard_normal((4, groups, 96, 96)).astype(dtype)
+        kernel = rng.standard_normal((12, 1, 1, 1))
+        bias = rng.standard_normal((1, 12, 1, 1))
+        want = np.empty((4, groups, 12 // groups, 96 * 96), dtype)
+        wmat = kernel.astype(dtype).reshape(groups, 12 // groups, 1)
+        for img, cols, src in F._slab_spans(x, 1, groups):
+            np.matmul(wmat, src, out=want[img, :, :, cols])
+        want = want.reshape(4, 12, 96, 96)
+        want += bias.astype(dtype)
+        got = F.conv2d(Tensor(x), Tensor(kernel), Tensor(bias), groups=groups).data
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("frozen", ["input", "kernel"])
     def test_no_bias_and_frozen_operand(self, rng, frozen):
         x = rng.standard_normal((2, 6, 9, 4))

@@ -480,6 +480,15 @@ class TestTrainingLoop:
 
         assert peak(3) <= 1.05 * peak(1)
 
+    def test_one_step_peak_memory(self, micro_images):
+        # 4 blocks of the default 72-class bank, 10.6 MB of parameters: a
+        # reverse pass that keeps the graph, with Adam's moments allocated up
+        # front, peaked at 42.7 MB; consuming the graph alone, 36.3 MB;
+        # allocating the moments at the first step alone, 31.8 MB; both, 25.9 MB
+        cfg = micro_train_cfg(batch_size=4, patch_size=48, epochs=1, steps_per_epoch=1)
+        csdn_cfg = micro_csdn_cfg(num_blocks=4, num_features=16)
+        assert traced_bytes(lambda: train_csdn(micro_images, cfg, csdn_cfg))[2] < 30e6
+
     def test_heap_stays_resident_across_calls(self, micro_images):
         # glibc's default trims what each step frees, so every step faulted its
         # arrays in again: 8.7k minor faults for this call without the setting
