@@ -2,10 +2,12 @@
 
 Each output pixel is convolved with the kernel stack of its class index
 (1..M): a mixture of experts with hard per-pixel routing, dispatched as in
-MegaBlocks and Switch Transformer. A ``DispatchPlan`` sorts the pixels by
-class once (a stable argsort of the N*H*W class map) into one contiguous
-segment per class present; the networks build one plan per forward and hand
-it to every CSConv layer, since all of them share the class map.
+MegaBlocks and Switch Transformer. A layer takes its classes only as a
+``DispatchPlan``: it validates the class map, sorts the pixels by class once
+(a stable argsort of the N*H*W map) into one contiguous segment per class
+present, and splits each sorted pixel into its image and its offset there.
+The networks build one plan per forward and hand it to every CSConv layer,
+since all of them share the class map.
 
 A layer pads its input once, pixel-major, and views it as one row of C values
 per padded pixel, so a pixel's patch is the K*K whole rows at its corner row
@@ -13,11 +15,12 @@ plus fixed tap offsets. The padded rows start on a 64-byte cache line, so a
 row of 16 float32 values is one line, not two. The layer's M weight stacks
 are reordered to match, with the K*K*C patch entries in (tap, channel) order:
 forward multiplies by a contiguous (M, K*K*C, C_out) copy, a plain (NN)
-product, and backward works with (M, C_out, K*K*C). Each segment is worked
-in chunks of ``_CHUNK`` sorted pixels: ``np.take`` gathers a chunk's patches
-into a small reused buffer and one GEMM turns them into output rows, each
-written whole to its raster row of an (N*H*W, C_out) staging array. Once the
-padded rows are dropped, one transposition fills the NCHW output. As in
+product, and backward works with (M, C_out, K*K*C). Forward and backward
+walk the segments alike (``_patch_chunks``), in chunks of ``_CHUNK`` sorted
+pixels: ``np.take`` gathers a chunk's patches into a small reused buffer. In
+forward one GEMM turns them into output rows, each written whole to its
+raster row of an (N*H*W, C_out) staging array. Once the padded rows are
+dropped, one transposition fills the NCHW output. As in
 ``functional``, a forward computes in its input's dtype, the bank cast on use.
 
 Data thus moves between NCHW and pixel-major rows once per layer each way,
@@ -35,11 +38,12 @@ run in class-sorted order, which is deterministic for a given map.
 
 A residual block's PReLU and skip add run inside the op: the PReLU acts on
 each band of padded rows as it is built, as the branch-free ``max(x, 0) +
-alpha * min(x, 0)`` (``np.where`` on a random sign mask costs about three
-times as much), the skip is added as the output is transposed, and backward
-activates the rows it rebuilds again, so the graph keeps neither the
-activation nor the CSConv output (as In-Place ABN does, Rota Bulò et al.,
-2018).
+alpha * min(x, 0)`` that ``F.prelu`` computes too (``np.where`` on a random
+sign mask costs about three times as much), the skip is added as the output
+is transposed, and backward activates the rows it rebuilds again, so the
+graph keeps neither the activation nor the CSConv output (as In-Place ABN
+does, Rota Bulò et al., 2018). The PReLU's gradients come from the helper
+behind ``F.prelu``'s own backward.
 """
 
 from __future__ import annotations
@@ -47,67 +51,55 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, _result
-from .errors import ConfigError, DispatchError, ShapeError
-from .functional import _GEMM_COLS, _SLAB_BYTES, _parts
+from .errors import ConfigError, ContractError, DispatchError, ShapeError
+from .functional import _GEMM_COLS, _SLAB_BYTES, _parts, _prelu_backward
 from .modules import Module, kaiming_uniform
 
 
-def _class_indices(classes, n: int, h: int, w: int, num_classes: int) -> np.ndarray:
-    """Validate class indices and broadcast them to (N, H, W)."""
-    idx = np.asarray(classes)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError("class indices must be integers")
-    if idx.ndim == 2:
-        if idx.shape != (h, w):
-            raise ShapeError(f"class map {idx.shape} does not match feature {h}x{w}")
-        idx = np.broadcast_to(idx, (n, h, w))
-    elif idx.ndim == 3:
-        if idx.shape != (n, h, w):
-            raise ShapeError(f"class maps {idx.shape} do not match batch ({n},{h},{w})")
-    else:
-        raise ShapeError(f"class indices must be (H,W) or (N,H,W), got {idx.shape}")
-    lo, hi = int(idx.min()), int(idx.max())
-    if lo < 1 or hi > num_classes:
-        raise DispatchError(
-            f"class indices span {lo}..{hi}, outside the bank's 1..{num_classes}"
-        )
-    return idx
-
-
 class DispatchPlan:
-    """The pixels of a batch of class maps, sorted by class.
+    """The pixels of a batch of (N, H, W) class maps, sorted by class: the
+    one class-map form a CSConv layer takes.
 
-    ``order`` lists the flat (n, y, x) pixel indices class by class, in
-    raster order within each class (a stable sort), and ``segments`` holds
-    one ``(class, start, stop)`` range of ``order`` per class present.
-    ``indices`` is the validated (N, H, W) class map.
+    ``classes`` is an (H, W) map, broadcast to every image, or an (N, H, W)
+    batch of maps, of integer class indices in 1..``num_classes``.
+    ``indices`` is the validated (N, H, W) class map. ``order`` lists the
+    flat (n, y, x) pixel indices class by class, in raster order within each
+    class (a stable sort), and ``image`` and ``pixel`` split each entry into
+    its image and its y*W + x offset in that image. ``segments`` holds one
+    ``(class, start, stop)`` range of ``order`` per class present.
     """
 
     def __init__(self, classes, n: int, h: int, w: int, num_classes: int):
-        self.indices = _class_indices(classes, n, h, w, num_classes)
+        if n * h * w == 0:
+            empty = ", ".join(f"{a}=0" for a, v in zip("NHW", (n, h, w)) if v == 0)
+            raise ShapeError(f"no pixels to dispatch: the feature has {empty}")
+        idx = np.asarray(classes)
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ShapeError("class indices must be integers")
+        if idx.ndim == 2:
+            if idx.shape != (h, w):
+                raise ShapeError(f"class map {idx.shape} does not match feature {h}x{w}")
+            idx = np.broadcast_to(idx, (n, h, w))
+        elif idx.ndim == 3:
+            if idx.shape != (n, h, w):
+                raise ShapeError(f"class maps {idx.shape} do not match batch ({n},{h},{w})")
+        else:
+            raise ShapeError(f"class indices must be (H,W) or (N,H,W), got {idx.shape}")
+        lo, hi = int(idx.min()), int(idx.max())
+        if lo < 1 or hi > num_classes:
+            raise DispatchError(
+                f"class indices span {lo}..{hi}, outside the bank's 1..{num_classes}"
+            )
+        self.indices = idx
         # the narrowest dtype lets the stable sort run as a radix sort
-        flat = self.indices.reshape(-1).astype(np.min_scalar_type(num_classes))
+        flat = idx.reshape(-1).astype(np.min_scalar_type(num_classes))
         self.order = np.argsort(flat, kind="stable")
+        self.image, self.pixel = np.divmod(self.order, h * w)
         stops = np.cumsum(np.bincount(flat, minlength=num_classes + 1))
         self.segments = [
             (i, int(stops[i - 1]), int(stops[i]))
             for i in range(1, num_classes + 1) if stops[i] > stops[i - 1]
         ]
-
-
-def dispatch_plan(classes, n: int, h: int, w: int, num_classes: int) -> DispatchPlan:
-    """The plan for an (N, C, H, W) feature: ``classes`` may be an (H, W) or
-    (N, H, W) index array or an existing ``DispatchPlan``."""
-    if not isinstance(classes, DispatchPlan):
-        return DispatchPlan(classes, n, h, w, num_classes)
-    if classes.indices.shape != (n, h, w):
-        raise ShapeError(f"dispatch plan {classes.indices.shape} does not match ({n},{h},{w})")
-    if classes.segments and classes.segments[-1][0] > num_classes:
-        raise DispatchError(
-            f"dispatch plan holds class {classes.segments[-1][0]}, "
-            f"outside the bank's 1..{num_classes}"
-        )
-    return classes
 
 
 # Pixels per gather-and-GEMM step: a (chunk, K*K, C) patch block stays in cache,
@@ -129,11 +121,9 @@ def _to_pixels(a: np.ndarray, dst: np.ndarray, alpha=None):
     """Copy (N, C, H, W) ``a`` into (N, H, W, C) ``dst`` band by band; with PReLU
     slopes ``alpha`` the copy holds ``F.prelu(a, alpha)``.
 
-    The PReLU is ``max(x, 0) + alpha * min(x, 0)``, its negative part built in
-    one band-sized scratch buffer. One of the two terms is a zero, so the sum
-    has ``F.prelu``'s bits for every value, NaN and infinities included, except
-    the sign of a zero result: a -0.0 input, or a negative one under a zero
-    slope, gives +0.0 where ``F.prelu`` gives -0.0."""
+    The PReLU is ``F.prelu``'s ``max(x, 0) + alpha * min(x, 0)``, so the two
+    agree in every bit; its negative part is built in one band-sized scratch
+    buffer."""
     # broadcast on the channel axis, in a's dtype
     slopes = None if alpha is None else alpha.reshape(-1).astype(a.dtype, copy=False)
     scratch = None
@@ -171,25 +161,33 @@ def _zeros_aligned(shape, dtype) -> np.ndarray:
     return buf[start : start + nbytes].view(dtype).reshape(shape)
 
 
-def _patch_source(x: np.ndarray, img, pix, k: int, alpha=None):
+def _patch_source(x: np.ndarray, plan: DispatchPlan, k: int, alpha=None):
     """What the patch gathers read: the zero-padded input as one row of C
-    values per padded pixel, the top-left patch row of each pixel ``pix`` of
-    image ``img``, and the K*K row offsets of the taps in (ky, kx) order.
+    values per padded pixel, the top-left patch row of each of ``plan``'s
+    sorted pixels, and the K*K row offsets of the taps in (ky, kx) order.
     With PReLU slopes ``alpha`` the rows hold ``F.prelu(x, alpha)``."""
     n, c, h, w = x.shape
     r = k // 2
     wp = w + 2 * r
     xp = _zeros_aligned((n, h + 2 * r, wp, c), x.dtype)
     _to_pixels(x, xp[:, r : r + h, r : r + w], alpha)
-    corner = (img * (h + 2 * r) + pix // w) * wp + pix % w
+    corner = (plan.image * (h + 2 * r) + plan.pixel // w) * wp + plan.pixel % w
     return xp.reshape(-1, c), corner, (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
 
 
-def _chunks(plan: DispatchPlan):
-    """(class, lo, hi) runs of at most ``_CHUNK`` sorted pixels, by segment."""
+def _patch_chunks(plan: DispatchPlan, rows, corner, taps):
+    """Runs of at most ``_CHUNK`` sorted pixels, segment by segment, as
+    ``(class, lo, hi, idx, patches)``: ``idx`` holds the (hi - lo, K*K) padded
+    rows the run's patches read, and ``patches`` the (hi - lo, K*K*C) patches
+    gathered from ``rows``, in one buffer that every run reuses."""
+    block = np.empty((min(_CHUNK, corner.size), taps.size, rows.shape[1]), rows.dtype)
     for i, start, stop in plan.segments:
         for lo in range(start, stop, _CHUNK):
-            yield i, lo, min(lo + _CHUNK, stop)
+            hi = min(lo + _CHUNK, stop)
+            idx = corner[lo:hi, None] + taps
+            # indices are in range by construction; "clip" lets take write to out unbuffered
+            patches = np.take(rows, idx, axis=0, out=block[: hi - lo], mode="clip")
+            yield i, lo, hi, idx, patches.reshape(hi - lo, -1)
 
 
 def _bank_matrix(layer: CsConv2d, dtype) -> np.ndarray:
@@ -199,32 +197,24 @@ def _bank_matrix(layer: CsConv2d, dtype) -> np.ndarray:
     return stacks.transpose(0, 1, 3, 2).reshape(m, c_out, -1)
 
 
-def _gather(rows, idx, block):
-    """Patch rows ``rows[idx]`` into ``block``, returned as (len, K*K*C)."""
-    # indices are in range by construction; "clip" lets take write to out unbuffered
-    return np.take(rows, idx, axis=0, out=block, mode="clip").reshape(len(idx), -1)
-
-
 def _backward(grad_out, x, plan, layer, need_input_grad, alpha=None):
     """(grad of the convolved rows, grad_kernels, grad_biases) for input ``x``,
     padding (and activating) it again and regathering each chunk's patches."""
     n, c_out, h, w = grad_out.shape
     m, c, k = layer.num_classes, layer.in_channels, layer.kernel_size
-    img, pix = np.divmod(plan.order, h * w)
-    rows, corner, taps = _patch_source(x, img, pix, k, alpha)
+    rows, corner, taps = _patch_source(x, plan, k, alpha)
     go_rows = np.empty((n * h * w, c_out))
     _to_pixels(grad_out, go_rows.reshape(n, h, w, c_out))
     wmat = _bank_matrix(layer, x.dtype)
     gkmat = np.zeros_like(wmat)
     gb = np.zeros((m, c_out))
     gxp = np.zeros_like(rows) if need_input_grad else None
-    block = np.empty((min(_CHUNK, corner.size), taps.size, c))
-    gblock, acc = np.empty_like(block), np.empty((len(block), c))
+    gblock = np.empty((min(_CHUNK, corner.size), taps.size, c))
+    acc = np.empty((len(gblock), c))
 
-    for i, lo, hi in _chunks(plan):
+    for i, lo, hi, idx, patches in _patch_chunks(plan, rows, corner, taps):
         g = go_rows[plan.order[lo:hi]]
-        idx = corner[lo:hi, None] + taps
-        gkmat[i - 1] += g.T @ _gather(rows, idx, block[: hi - lo])
+        gkmat[i - 1] += g.T @ patches
         gb[i - 1] += g.sum(axis=0)
         if need_input_grad:
             gpatches = gblock[: hi - lo]
@@ -244,17 +234,17 @@ def _backward(grad_out, x, plan, layer, need_input_grad, alpha=None):
     return gxp, gk, gb.reshape(layer.biases.shape)
 
 
-def csconv_forward(q: Tensor, classes, layer: CsConv2d, alpha: Tensor | None = None,
-                   skip: Tensor | None = None) -> Tensor:
+def csconv_forward(q: Tensor, plan: DispatchPlan, layer: CsConv2d,
+                   alpha: Tensor | None = None, skip: Tensor | None = None) -> Tensor:
     """Differentiable convolution with per-pixel kernel selection.
 
-    Chooses the kernel and bias of ``classes[pixel]`` from ``layer``'s M
-    stacks at every output location; zero padding keeps spatial extents.
-    ``classes`` is anything ``dispatch_plan`` accepts. Kernels and biases of
-    classes absent from the map get exactly zero gradient.
+    Chooses the kernel and bias of each pixel's class in ``plan``, a
+    ``DispatchPlan`` of ``q``'s (N, H, W) extents, from ``layer``'s M stacks
+    at every output location; zero padding keeps spatial extents. Kernels
+    and biases of classes absent from the plan get exactly zero gradient.
 
     With ``alpha`` and ``skip`` it equals, bit for bit, ``skip +
-    csconv_forward(F.prelu(q, alpha), classes, layer)`` while keeping neither
+    csconv_forward(F.prelu(q, alpha), plan, layer)`` while keeping neither
     the activation nor the convolution: backward activates ``q`` again.
     """
     n, c_in, h, w = q.shape
@@ -265,27 +255,32 @@ def csconv_forward(q: Tensor, classes, layer: CsConv2d, alpha: Tensor | None = N
         raise ShapeError(f"alpha must have {c_in} channels or be shared, got {alpha.shape}")
     if skip is not None and skip.shape != (n, c_out, h, w):
         raise ShapeError(f"skip {skip.shape} does not match output {(n, c_out, h, w)}")
-    plan = dispatch_plan(classes, n, h, w, layer.num_classes)
+    if not isinstance(plan, DispatchPlan):
+        raise ContractError(f"CSConv dispatches on a DispatchPlan, got {type(plan).__name__}")
+    if plan.indices.shape != (n, h, w):
+        raise ShapeError(f"dispatch plan {plan.indices.shape} does not match ({n},{h},{w})")
+    if plan.segments[-1][0] > layer.num_classes:
+        raise DispatchError(
+            f"dispatch plan holds class {plan.segments[-1][0]}, "
+            f"outside the bank's 1..{layer.num_classes}"
+        )
 
-    img, pix = np.divmod(plan.order, h * w)
     # output rows in raster order. Staged before the padded rows are built, so
     # the output takes the padded rows' freed memory: allocated the other way
     # round, glibc malloc hands each layer's memory back to the OS and faults
     # it in again (12.2k against 3.6k minor faults per 256x256 CS-EDSR forward)
     dtype = q.data.dtype  # every buffer and the cast weights follow the input
     stage = np.empty((n * h * w, c_out), dtype)
-    rows, corner, taps = _patch_source(q.data, img, pix, layer.kernel_size,
+    rows, corner, taps = _patch_source(q.data, plan, layer.kernel_size,
                                        None if alpha is None else alpha.data)
     # (M, K*K*C, C_out), contiguous: a chunk's product is NN, not NT, which for
     # chunks of a few hundred rows is the faster OpenBLAS kernel
     wmat = np.ascontiguousarray(_bank_matrix(layer, dtype).transpose(0, 2, 1))
     bmat = layer.biases.data.astype(dtype, copy=False).reshape(layer.num_classes, c_out)
-    block = np.empty((min(_CHUNK, corner.size), taps.size, c_in), dtype)
-    res = np.empty((len(block), c_out), dtype)
-    for i, lo, hi in _chunks(plan):
+    res = np.empty((min(_CHUNK, corner.size), c_out), dtype)
+    for i, lo, hi, _, patches in _patch_chunks(plan, rows, corner, taps):
         y = res[: hi - lo]
-        np.matmul(_gather(rows, corner[lo:hi, None] + taps, block[: hi - lo]),
-                  wmat[i - 1], out=y)
+        np.matmul(patches, wmat[i - 1], out=y)
         y += bmat[i - 1]
         stage[plan.order[lo:hi]] = y
     del rows
@@ -293,20 +288,14 @@ def csconv_forward(q: Tensor, classes, layer: CsConv2d, alpha: Tensor | None = N
     _to_channels(stage, out, None if skip is None else skip.data)
 
     def bw(grad):
-        slopes = None if alpha is None else alpha.data
         need_rows = q.requires_grad or (alpha is not None and alpha.requires_grad)
-        gq, gk, gb = _backward(grad, q.data, plan, layer, need_rows, slopes)
+        gq, gk, gb = _backward(grad, q.data, plan, layer, need_rows,
+                               None if alpha is None else alpha.data)
         if skip is not None and skip.requires_grad:
             skip._accumulate(grad)
-        if alpha is not None:  # F.prelu's backward expressions, so the bits match
-            neg = q.data < 0
-            if alpha.requires_grad:
-                ga = gq * np.where(neg, q.data, 0.0)
-                alpha._accumulate(ga.sum(axis=(0, 2, 3) if slopes.size > 1 else None)
-                                  .reshape(slopes.shape))
-            if q.requires_grad:
-                gq = gq * np.where(neg, slopes, 1.0)
-        if q.requires_grad:
+        if alpha is not None:
+            _prelu_backward(gq, q, alpha)
+        elif q.requires_grad:
             q._accumulate(gq)
         if layer.kernels.requires_grad:
             layer.kernels._accumulate(gk)
@@ -347,8 +336,8 @@ class CsConv2d(Module):
         self.kernel_size = kernel_size
         self.num_classes = num_classes
 
-    def forward(self, x: Tensor, classes, alpha=None, skip=None) -> Tensor:
-        return csconv_forward(x, classes, self, alpha=alpha, skip=skip)
+    def forward(self, x: Tensor, plan: DispatchPlan, alpha=None, skip=None) -> Tensor:
+        return csconv_forward(x, plan, self, alpha=alpha, skip=skip)
 
     def flops_per_pixel(self) -> float:
         # counted like the plain conv it replaces; class lookup is free

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import functional as F
 from .autodiff import Tensor, finite_float64, no_grad
-from .csconv import CsConv2d, dispatch_plan
+from .csconv import CsConv2d, DispatchPlan
 from .errors import ConfigError, ShapeError
 from .gradient_stats import HashConfig
 from .modules import Conv2d, Module, PReLU
@@ -50,7 +50,7 @@ def _dispatch_plan(cfg: CsdnConfig, x: Tensor, classes):
     if classes is None:
         raise ConfigError("this network dispatches on a class map; none given")
     n, _, h, w = x.shape
-    return dispatch_plan(classes, n, h, w, cfg.num_classes)
+    return DispatchPlan(classes, n, h, w, cfg.num_classes)
 
 
 def _second_conv(cfg: CsdnConfig, rng) -> Module:
@@ -73,9 +73,9 @@ class _ResidualBlock(Module):
         self.conv2 = _second_conv(cfg, rng)
         self.uses_classes = cfg.use_csconv
 
-    def forward(self, x: Tensor, classes=None) -> Tensor:
+    def forward(self, x: Tensor, plan=None) -> Tensor:
         if self.uses_classes:
-            return self.conv2(self.conv1(x), classes, alpha=self.act.alpha, skip=x)
+            return self.conv2(self.conv1(x), plan, alpha=self.act.alpha, skip=x)
         return x + self.conv2(self.act(self.conv1(x)))
 
     def flops_per_pixel(self) -> float:
@@ -103,11 +103,11 @@ class EdsrNet(Module):
         self.tail = Conv2d(f, 1, 3, rng=rng)
 
     def forward(self, x: Tensor, classes=None) -> Tensor:
-        classes = _dispatch_plan(self.config, x, classes)
+        plan = _dispatch_plan(self.config, x, classes)
         y0 = self.head(x)
         y = y0
         for block in self.blocks:
-            y = block(y, classes)
+            y = block(y, plan)
         return self.tail(y + y0)
 
     def flops_layers(self):
@@ -128,10 +128,10 @@ class _CascadeBlock(Module):
         self.blocks = tuple(_ResidualBlock(cfg, rng, grouped_first=True) for _ in range(3))
         self.fusions = tuple(Conv2d(2 * f, f, 1, rng=rng) for _ in range(3))
 
-    def forward(self, x: Tensor, classes=None) -> Tensor:
+    def forward(self, x: Tensor, plan=None) -> Tensor:
         out = x
         for block, fuse in zip(self.blocks, self.fusions):
-            b = block(out, classes)
+            b = block(out, plan)
             out = fuse(F.concat_channels([out, b]))
         return out
 
@@ -157,10 +157,10 @@ class CarnNet(Module):
         self.tail = Conv2d(f, 1, 3, rng=rng)
 
     def forward(self, x: Tensor, classes=None) -> Tensor:
-        classes = _dispatch_plan(self.config, x, classes)
+        plan = _dispatch_plan(self.config, x, classes)
         out = self.head(x)
         for cascade, fuse in zip(self.cascades, self.global_fusions):
-            b = cascade(out, classes)
+            b = cascade(out, plan)
             out = fuse(F.concat_channels([out, b]))
         return self.tail(out)
 

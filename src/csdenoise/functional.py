@@ -162,21 +162,25 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
         raise ShapeError(
             f"alpha must have {c} channels or be shared, got {alpha.shape}"
         )
-    out = np.where(x.data < 0, alpha.data.astype(x.data.dtype, copy=False) * x.data, x.data)
+    # CSConv's fused PReLU fills the same max(x, 0) + alpha * min(x, 0), so the
+    # two agree in every bit, signed zeros included
+    out = np.maximum(x.data, 0)
+    neg = np.minimum(x.data, 0)
+    neg *= alpha.data.astype(x.data.dtype, copy=False)
+    out += neg
+    return _result(out, (x, alpha), lambda g: _prelu_backward(g, x, alpha))
 
-    def bw(g):
-        neg = x.data < 0
-        if x.requires_grad:
-            x._accumulate(g * np.where(neg, alpha.data, 1.0))
-        if alpha.requires_grad:
-            ga = g * np.where(neg, x.data, 0.0)
-            if alpha.data.shape == (1, 1, 1, 1):
-                ga = ga.sum().reshape(1, 1, 1, 1)
-            else:
-                ga = ga.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            alpha._accumulate(ga)
 
-    return _result(out, (x, alpha), bw)
+def _prelu_backward(g: np.ndarray, x: Tensor, alpha: Tensor):
+    """Accumulate into ``x`` and ``alpha`` the gradients of ``prelu(x, alpha)``
+    for the output gradient ``g``; CSConv's fused PReLU calls it too."""
+    neg = x.data < 0
+    if x.requires_grad:
+        x._accumulate(g * np.where(neg, alpha.data, 1.0))
+    if alpha.requires_grad:
+        ga = g * np.where(neg, x.data, 0.0)
+        ga = ga.sum(axis=(0, 2, 3) if alpha.data.size > 1 else None)
+        alpha._accumulate(ga.reshape(alpha.data.shape))
 
 
 # -- resampling ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 
-from csdenoise.csconv import CsConv2d
+from csdenoise.csconv import CsConv2d, DispatchPlan
 
 FD_STEP = 1e-5
 
@@ -28,6 +28,13 @@ def cs_layer(stacks, biases=None):
     if biases is not None:
         layer.biases.data[...] = np.concatenate(biases).reshape(layer.biases.shape)
     return layer
+
+
+def plan_for(x, classes, layer):
+    """The ``DispatchPlan`` of the (H, W) or (N, H, W) class map ``classes``
+    for the (N, C, H, W) feature ``x`` of CSConv ``layer``."""
+    n, _, h, w = x.shape
+    return DispatchPlan(classes, n, h, w, layer.num_classes)
 
 
 def fd_worst_rel_err(build_loss, tensors, n_coords=10, h=FD_STEP, seed=0):

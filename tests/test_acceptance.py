@@ -26,7 +26,7 @@ from csdenoise.metrics import psnr, ssim
 from csdenoise.model_io import load_model, save_model
 from csdenoise.pcn import PcnConfig, build_pcn, pcn_forward
 from csdenoise.pipeline import TrainConfig, add_awgn, evaluate, train_csdn, train_pcn
-from helpers import cs_layer, fd_worst_rel_err, fd_worst_rel_err_params
+from helpers import cs_layer, fd_worst_rel_err, fd_worst_rel_err_params, plan_for
 
 
 def _report(number: int, ok: bool, detail: str):
@@ -50,7 +50,7 @@ def test_criterion_01_degenerate_csconv_equivalence():
         bank = cs_layer([base] * m, [bias] * m)
         q = Tensor(rng.standard_normal((n, c_in, h, w)))
         classes = rng.integers(1, m + 1, size=(n, h, w))
-        got = csconv_forward(q, classes, bank).data
+        got = csconv_forward(q, plan_for(q, classes, bank), bank).data
         ref = F.conv2d(
             Tensor(q.data), Tensor(base), Tensor(bias.reshape(1, c_out, 1, 1))
         ).data
@@ -112,7 +112,7 @@ def test_criterion_02_gradient_suite():
         cls = rng.integers(1, 6, size=(5, 5))
         wq = Tensor(rng.standard_normal((1, 4, 5, 5)))
         worst_ops = max(worst_ops, fd_worst_rel_err(
-            lambda: (csconv_forward(qa, cls, bank) * wq).sum(),
+            lambda: (csconv_forward(qa, plan_for(qa, cls, bank), bank) * wq).sum(),
             [qa, bank.kernels, bank.biases], n_coords=6, seed=seed))
 
     worst_net = 0.0

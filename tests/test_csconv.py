@@ -5,14 +5,9 @@ from csdenoise import csconv
 from csdenoise import functional as F
 from csdenoise.autodiff import Tensor, no_grad
 from csdenoise.csdn import CsdnConfig, build_csdn
-from csdenoise.csconv import (
-    CsConv2d,
-    DispatchPlan,
-    csconv_forward,
-    dispatch_plan,
-)
-from csdenoise.errors import ConfigError, DispatchError, ShapeError
-from helpers import cs_layer, fd_worst_rel_err, traced_bytes
+from csdenoise.csconv import CsConv2d, DispatchPlan, csconv_forward
+from csdenoise.errors import ConfigError, ContractError, DispatchError, ShapeError
+from helpers import cs_layer, fd_worst_rel_err, plan_for, traced_bytes
 
 
 def random_bank(rng, m=5, c_out=4, c_in=3, k=3, bias=True):
@@ -38,12 +33,12 @@ def copy_layer(bank):
     return cs_layer(np.split(bank.kernels.data, m), np.split(bank.biases.data.reshape(-1), m))
 
 
-def csconv_backward(grad_out, q, classes, bank):
+def csconv_backward(grad_out, q, plan, bank):
     """(grad_q, grad_kernels, grad_biases) of sum(output * grad_out), from
     backward() through csconv_forward on fresh copies of q and the bank."""
     fresh = copy_layer(bank)
     qt = Tensor(q.data.copy(), requires_grad=True)
-    (csconv_forward(qt, classes, fresh) * Tensor(grad_out)).sum().backward()
+    (csconv_forward(qt, plan, fresh) * Tensor(grad_out)).sum().backward()
     return qt.grad, fresh.kernels.grad, fresh.biases.grad
 
 
@@ -53,7 +48,7 @@ class TestForward:
         q = Tensor(rng.standard_normal((2, 3, 7, 7)))
         for i in (1, 3, 5):
             classes = np.full((7, 7), i, dtype=np.int64)
-            got = csconv_forward(q, classes, bank).data
+            got = csconv_forward(q, plan_for(q, classes, bank), bank).data
             ref = F.conv2d(
                 Tensor(q.data),
                 Tensor(class_kernel(bank, i)),
@@ -66,13 +61,15 @@ class TestForward:
         bank = cs_layer([np.full((1, 1, 1, 1), 2.0), np.full((1, 1, 1, 1), 3.0)])
         yy, xx = np.mgrid[0:4, 0:4]
         classes = ((yy + xx) % 2 + 1).astype(np.int64)
-        out = csconv_forward(Tensor(np.ones((1, 1, 4, 4))), classes, bank).data[0, 0]
+        q = Tensor(np.ones((1, 1, 4, 4)))
+        out = csconv_forward(q, plan_for(q, classes, bank), bank).data[0, 0]
         assert np.array_equal(out, np.where((yy + xx) % 2 == 0, 2.0, 3.0))
 
     def test_zero_bank_annihilates(self, rng):
         bank = cs_layer([np.zeros((2, 1, 3, 3))] * 3)
         classes = rng.integers(1, 4, size=(5, 5))
-        out = csconv_forward(Tensor(rng.random((1, 1, 5, 5))), classes, bank)
+        q = Tensor(rng.random((1, 1, 5, 5)))
+        out = csconv_forward(q, plan_for(q, classes, bank), bank)
         assert np.all(out.data == 0.0)
 
     def test_degenerate_equivalence_random_maps(self, rng):
@@ -83,7 +80,7 @@ class TestForward:
         ref = F.conv2d(Tensor(q.data), Tensor(base), Tensor(bias.reshape(1, 3, 1, 1))).data
         for _ in range(5):
             classes = rng.integers(1, 7, size=(2, 6, 6))
-            got = csconv_forward(q, classes, bank).data
+            got = csconv_forward(q, plan_for(q, classes, bank), bank).data
             assert np.max(np.abs(got - ref)) < 1e-10
 
     def test_linearity_in_input_without_bias(self, rng):
@@ -91,10 +88,11 @@ class TestForward:
         classes = rng.integers(1, 6, size=(5, 5))
         q1 = rng.standard_normal((1, 3, 5, 5))
         q2 = rng.standard_normal((1, 3, 5, 5))
-        lhs = csconv_forward(Tensor(2.0 * q1 - 0.5 * q2), classes, bank).data
+        plan = plan_for(q1, classes, bank)
+        lhs = csconv_forward(Tensor(2.0 * q1 - 0.5 * q2), plan, bank).data
         rhs = (
-            2.0 * csconv_forward(Tensor(q1), classes, bank).data
-            - 0.5 * csconv_forward(Tensor(q2), classes, bank).data
+            2.0 * csconv_forward(Tensor(q1), plan, bank).data
+            - 0.5 * csconv_forward(Tensor(q2), plan, bank).data
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -102,8 +100,8 @@ class TestForward:
         bank = random_bank(rng)
         q = Tensor(rng.standard_normal((1, 3, 6, 6)))
         classes = rng.integers(1, 6, size=(6, 6))
-        a = csconv_forward(q, classes, bank).data
-        b = csconv_forward(q, classes, bank).data
+        a = csconv_forward(q, plan_for(q, classes, bank), bank).data
+        b = csconv_forward(q, plan_for(q, classes, bank), bank).data
         assert np.array_equal(a, b)
 
     def test_out_of_range_class_rejected(self, rng):
@@ -112,16 +110,16 @@ class TestForward:
         for bad in (0, 4):
             classes = np.full((4, 4), bad, dtype=np.int64)
             with pytest.raises(DispatchError):
-                csconv_forward(q, classes, bank)
+                csconv_forward(q, plan_for(q, classes, bank), bank)
 
     def test_shape_mismatches(self, rng):
         bank = random_bank(rng)
         with pytest.raises(ShapeError):
-            csconv_forward(Tensor(rng.random((1, 2, 4, 4))),
-                           np.ones((4, 4), dtype=np.int64), bank)
+            q = Tensor(rng.random((1, 2, 4, 4)))
+            csconv_forward(q, plan_for(q, np.ones((4, 4), dtype=np.int64), bank), bank)
         with pytest.raises(ShapeError):
-            csconv_forward(Tensor(rng.random((1, 3, 4, 4))),
-                           np.ones((5, 5), dtype=np.int64), bank)
+            q = Tensor(rng.random((1, 3, 4, 4)))
+            csconv_forward(q, plan_for(q, np.ones((5, 5), dtype=np.int64), bank), bank)
 
 
 class TestBackward:
@@ -130,7 +128,7 @@ class TestBackward:
         q = Tensor(rng.standard_normal((1, 3, 5, 5)), requires_grad=True)
         classes = np.full((5, 5), 2, dtype=np.int64)
         classes[0, :] = 4
-        out = csconv_forward(q, classes, bank)
+        out = csconv_forward(q, plan_for(q, classes, bank), bank)
         (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
         gk = bank.kernels.grad.reshape(4, -1)
         gb = bank.biases.grad.reshape(4, -1)
@@ -148,7 +146,7 @@ class TestBackward:
         wv = rng.standard_normal((1, 3, 5, 5))
 
         q1 = Tensor(qv.copy(), requires_grad=True)
-        out = csconv_forward(q1, np.ones((5, 5), dtype=np.int64), bank)
+        out = csconv_forward(q1, plan_for(q1, np.ones((5, 5), dtype=np.int64), bank), bank)
         (out * Tensor(wv)).sum().backward()
 
         q2 = Tensor(qv.copy(), requires_grad=True)
@@ -167,7 +165,7 @@ class TestBackward:
         classes = rng.integers(1, 6, size=(2, 5, 5))
         w = Tensor(rng.standard_normal((2, 4, 5, 5)))
         err = fd_worst_rel_err(
-            lambda: (csconv_forward(q, classes, bank) * w).sum(),
+            lambda: (csconv_forward(q, plan_for(q, classes, bank), bank) * w).sum(),
             [q, bank.kernels, bank.biases],
         )
         assert err < 1e-4
@@ -179,10 +177,10 @@ class TestBackward:
         gout = rng.standard_normal((1, 4, 6, 6))
 
         q = Tensor(qv.copy(), requires_grad=True)
-        out = csconv_forward(q, classes, bank)
+        out = csconv_forward(q, plan_for(q, classes, bank), bank)
         (out * Tensor(gout)).sum().backward()
 
-        gq, gk, gb = csconv_backward(gout, Tensor(qv), classes, bank)
+        gq, gk, gb = csconv_backward(gout, Tensor(qv), plan_for(q, classes, bank), bank)
         assert np.max(np.abs(gq - q.grad)) < 1e-12
         assert np.max(np.abs(gk - bank.kernels.grad)) < 1e-12
         assert np.max(np.abs(gb - bank.biases.grad)) < 1e-12
@@ -196,10 +194,10 @@ class TestBackward:
         bank = random_bank(rng, m=3, bias=False)
         q = Tensor(rng.standard_normal((1, 3, 6, 6)))
         classes = rng.integers(1, 4, size=(6, 6))
-        before = csconv_forward(q, classes, bank).data.copy()
+        before = csconv_forward(q, plan_for(q, classes, bank), bank).data.copy()
         c_out = bank.out_channels
         bank.kernels.data[1 * c_out : 2 * c_out] += 0.5  # class 2 weights
-        after = csconv_forward(q, classes, bank).data
+        after = csconv_forward(q, plan_for(q, classes, bank), bank).data
         changed = np.any(np.abs(after - before) > 0, axis=(0, 1))
         assert np.array_equal(changed, classes == 2)
 
@@ -215,9 +213,9 @@ def fused_and_unfused(qv, classes, bank, alpha_v, skip_v, grad_out):
         q, alpha = (Tensor(v.copy(), requires_grad=True) for v in (qv, alpha_v))
         skip = None if skip_v is None else Tensor(skip_v.copy(), requires_grad=True)
         if fused:
-            out = csconv_forward(q, classes, layer, alpha=alpha, skip=skip)
+            out = csconv_forward(q, plan_for(q, classes, layer), layer, alpha=alpha, skip=skip)
         else:
-            out = csconv_forward(F.prelu(q, alpha), classes, layer)
+            out = csconv_forward(F.prelu(q, alpha), plan_for(q, classes, layer), layer)
             out = out if skip is None else skip + out
         (out * Tensor(grad_out)).sum().backward()
         results.append([out.data, q.grad, alpha.grad, None if skip is None else skip.grad,
@@ -258,7 +256,8 @@ class TestFusedPrelu:
         classes = rng.integers(1, 6, size=(2, 5, 5))
         w = Tensor(rng.standard_normal((2, 4, 5, 5)))
         err = fd_worst_rel_err(
-            lambda: (csconv_forward(q, classes, bank, alpha=alpha, skip=skip) * w).sum(),
+            lambda: (csconv_forward(q, plan_for(q, classes, bank), bank, alpha=alpha, skip=skip)
+                     * w).sum(),
             [q, alpha, skip, bank.kernels, bank.biases],
         )
         assert err < 1e-4
@@ -268,9 +267,11 @@ class TestFusedPrelu:
         q = Tensor(rng.random((1, 3, 4, 4)))
         classes = np.ones((4, 4), dtype=np.int64)
         with pytest.raises(ShapeError):
-            csconv_forward(q, classes, bank, alpha=Tensor(np.full((1, 2, 1, 1), 0.25)))
+            csconv_forward(q, plan_for(q, classes, bank), bank,
+                           alpha=Tensor(np.full((1, 2, 1, 1), 0.25)))
         with pytest.raises(ShapeError):
-            csconv_forward(q, classes, bank, skip=Tensor(rng.random((1, 3, 4, 4))))
+            csconv_forward(q, plan_for(q, classes, bank), bank,
+                           skip=Tensor(rng.random((1, 3, 4, 4))))
 
 
 def per_pixel_csconv(x, classes, bank, grad_out):
@@ -337,11 +338,12 @@ class TestDispatch:
         ref_out, ref_gx, ref_gk, ref_gb = per_pixel_csconv(xv, raw, bank, gout)
 
         x = Tensor(xv.copy(), requires_grad=True)
-        out = csconv_forward(x, raw, bank)
+        out = csconv_forward(x, plan_for(x, raw, bank), bank)
         (out * Tensor(gout)).sum().backward()
         assert np.max(np.abs(out.data - ref_out)) < 1e-12
         with no_grad():
-            assert np.array_equal(csconv_forward(Tensor(xv), raw, bank).data, out.data)
+            assert np.array_equal(csconv_forward(Tensor(xv), plan_for(x, raw, bank), bank).data,
+                                  out.data)
         assert np.max(np.abs(x.grad - ref_gx)) < 1e-12
         assert np.max(np.abs(bank.kernels.grad - ref_gk)) < 1e-12
         assert np.max(np.abs(bank.biases.grad - ref_gb)) < 1e-12
@@ -360,13 +362,12 @@ class TestDispatch:
         qv = rng.standard_normal((n, 2, 5, 6))
         gout = rng.standard_normal((n, 3, 5, 6))
         q = Tensor(qv.copy(), requires_grad=True)
-        (csconv_forward(q, classes, bank) * Tensor(gout)).sum().backward()
-        plan = dispatch_plan(classes, n, 5, 6, bank.num_classes)
-        for given in (classes, plan):
-            gq, gk, gb = csconv_backward(gout, Tensor(qv), given, bank)
-            assert np.array_equal(gq, q.grad)
-            assert np.array_equal(gk, bank.kernels.grad)
-            assert np.array_equal(gb, bank.biases.grad)
+        plan = plan_for(q, classes, bank)
+        (csconv_forward(q, plan, bank) * Tensor(gout)).sum().backward()
+        gq, gk, gb = csconv_backward(gout, Tensor(qv), plan, bank)
+        assert np.array_equal(gq, q.grad)
+        assert np.array_equal(gk, bank.kernels.grad)
+        assert np.array_equal(gb, bank.biases.grad)
 
     def test_plan_segments_follow_stable_class_order(self):
         classes = np.array([[[3, 1, 3], [1, 2, 3]], [[2, 2, 1], [3, 1, 1]]])
@@ -376,23 +377,47 @@ class TestDispatch:
         for i, start, stop in plan.segments:
             assert np.array_equal(plan.order[start:stop], np.flatnonzero(flat == i))
         assert plan.indices.shape == (2, 2, 3)
+        assert np.array_equal(np.stack([plan.image, plan.pixel]), np.divmod(plan.order, 6))
 
-    def test_plan_is_reused_not_rebuilt(self, rng):
+    def test_plan_is_reused_not_rebuilt(self, rng, monkeypatch):
         bank = random_bank(rng)
         classes = rng.integers(1, 6, size=(2, 4, 5))
-        plan = dispatch_plan(classes, 2, 4, 5, bank.num_classes)
-        assert dispatch_plan(plan, 2, 4, 5, bank.num_classes) is plan
-        q = Tensor(rng.standard_normal((2, 3, 4, 5)))
-        assert np.array_equal(csconv_forward(q, plan, bank).data,
-                              csconv_forward(q, classes, bank).data)
+        q = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        plan = plan_for(q, classes, bank)
+        fresh = csconv_forward(q, plan_for(q, classes, bank), bank).data
+
+        def rebuilt(*args):
+            raise AssertionError("a layer built a plan of its own")
+
+        monkeypatch.setattr(csconv.DispatchPlan, "__init__", rebuilt)
+        out = csconv_forward(q, plan, bank)
+        out.sum().backward()
+        assert np.array_equal(out.data, fresh)
 
     def test_plan_checked_against_feature_and_bank(self, rng):
-        plan = dispatch_plan(np.full((2, 4, 4), 5), 2, 4, 4, 5)
+        plan = DispatchPlan(np.full((2, 4, 4), 5), 2, 4, 4, 5)
         q = Tensor(rng.random((2, 3, 4, 4)))
         with pytest.raises(DispatchError):
             csconv_forward(q, plan, random_bank(rng, m=4))
         with pytest.raises(ShapeError):
             csconv_forward(Tensor(rng.random((1, 3, 4, 4))), plan, random_bank(rng, m=5))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4)])
+    def test_raw_class_map_rejected(self, rng, shape):
+        bank = random_bank(rng)
+        q = Tensor(rng.random((2, 3, 4, 4)))
+        with pytest.raises(ContractError):
+            csconv_forward(q, np.ones(shape, dtype=np.int64), bank)
+        with pytest.raises(ContractError):
+            bank(q, np.ones(shape, dtype=np.int64))
+
+    def test_empty_feature_rejected(self, rng):
+        bank = random_bank(rng, c_in=2)
+        q = Tensor(rng.random((1, 2, 0, 3)))
+        with pytest.raises(ShapeError, match="H=0"):
+            csconv_forward(q, plan_for(q, np.ones((0, 3), dtype=np.int64), bank), bank)
+        with pytest.raises(ShapeError, match="N=0, W=0"):
+            DispatchPlan(np.ones((0, 4, 0), dtype=np.int64), 0, 4, 0, 5)
 
 
 # Three images of 16 channels, 151 rows of 37 pixels: a band of at most
@@ -425,7 +450,7 @@ class TestBands:
         gout = rng.standard_normal(_BANDED)
         ref_out, ref_gx, ref_gk, ref_gb = per_pixel_csconv(xv, classes, bank, gout)
         x = Tensor(xv.copy(), requires_grad=True)
-        out = csconv_forward(x, classes, bank)
+        out = csconv_forward(x, plan_for(x, classes, bank), bank)
         (out * Tensor(gout)).sum().backward()
         assert np.max(np.abs(out.data - ref_out)) < 1e-12
         assert np.max(np.abs(x.grad - ref_gx)) < 1e-12
@@ -451,8 +476,8 @@ class TestBands:
 
 
 class TestPreluFill:
-    """The fused PReLU's branch-free fill, max(x, 0) + alpha * min(x, 0), against
-    ``F.prelu`` on the values where the two forms could part."""
+    """The fused PReLU's fill against ``F.prelu``, on the values where two forms
+    of a PReLU could part: both compute max(x, 0) + alpha * min(x, 0)."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_prelu_on_special_values(self, dtype):
@@ -468,16 +493,15 @@ class TestPreluFill:
         got = dst.transpose(0, 3, 1, 2)
         assert got.dtype == ref.dtype == dtype
         assert np.array_equal(got, ref, equal_nan=True)
-        # the bits agree everywhere but in the sign of a zero
         bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
-        assert np.all((got.view(bits) == ref.view(bits)) | (ref == 0) | np.isnan(ref))
+        assert np.array_equal(got.view(bits), ref.view(bits))
 
-    def test_sign_of_zero_is_the_one_difference(self):
+    def test_signed_zeros_agree(self):
         x = np.array([-0.0, -1.0]).reshape(1, 1, 1, 2)
         dst = np.empty((1, 1, 2, 1))
         csconv._to_pixels(x, dst, np.zeros((1, 1, 1, 1)))
         ref = F.prelu(Tensor(x), Tensor(np.zeros((1, 1, 1, 1)))).data
-        assert np.all(np.signbit(ref)) and not np.any(np.signbit(dst))
+        assert np.array_equal(np.signbit(dst.reshape(-1)), np.signbit(ref.reshape(-1)))
 
 
 class TestPatchSource:
@@ -488,9 +512,8 @@ class TestPatchSource:
         and the padded rows hold the zero-padded input."""
         n, h, k = 2, 5, 3
         x = rng.standard_normal((n, c, h, w)).astype(dtype)
-        plan = dispatch_plan(np.ones((h, w), np.int64), n, h, w, 1)
-        img, pix = np.divmod(plan.order, h * w)
-        rows, _, _ = csconv._patch_source(x, img, pix, k)
+        plan = DispatchPlan(np.ones((h, w), np.int64), n, h, w, 1)
+        rows, _, _ = csconv._patch_source(x, plan, k)
         assert rows.dtype == dtype
         assert rows.ctypes.data % 64 == 0
         if c == 16:
@@ -504,7 +527,8 @@ class TestMemory:
         bank = random_bank(rng, m=5, c_out=16, c_in=16, k=3)
         x = Tensor(rng.standard_normal((2, 16, 32, 32)), requires_grad=True)
         classes = rng.integers(1, 6, size=(2, 32, 32))
-        out, held, peak = traced_bytes(lambda: csconv_forward(x, classes, bank))
+        out, held, peak = traced_bytes(
+            lambda: csconv_forward(x, plan_for(x, classes, bank), bank))
         assert out._backward is not None
         # output plus what backward keeps, and the transient high-water mark;
         # a kept (N*H*W, C*K*K) patch matrix alone is 9x the input
@@ -514,7 +538,7 @@ class TestMemory:
     def test_recorded_forward_keeps_no_padded_rows(self, rng):
         bank = random_bank(rng, m=4, c_out=16, c_in=16, k=3)
         x = Tensor(rng.standard_normal((2, 16, 32, 32)), requires_grad=True)
-        plan = dispatch_plan(rng.integers(1, 5, size=(2, 32, 32)), 2, 32, 32, 4)
+        plan = plan_for(x, rng.integers(1, 5, size=(2, 32, 32)), bank)
         out, held, _ = traced_bytes(lambda: csconv_forward(x, plan, bank))
         # backward pads x.data and re-derives the corners from the shared plan;
         # kept padded rows alone are 1.13x the output
@@ -525,7 +549,8 @@ class TestMemory:
         x = Tensor(rng.standard_normal((1, 16, 256, 256)))
         classes = rng.integers(1, 73, size=(256, 256))
         with no_grad():
-            out, _, peak = traced_bytes(lambda: csconv_forward(x, classes, bank))
+            out, _, peak = traced_bytes(
+                lambda: csconv_forward(x, plan_for(x, classes, bank), bank))
         assert out._backward is None
         assert peak < 3.5 * x.data.nbytes
 

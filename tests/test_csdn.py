@@ -3,7 +3,7 @@ import pytest
 
 from csdenoise.autodiff import Tensor
 from csdenoise.csdn import CsdnConfig, build_csdn, csdn_forward, csdn_loss
-from csdenoise.errors import ConfigError, CsdError, DispatchError
+from csdenoise.errors import ConfigError, CsdError, DispatchError, ShapeError
 from helpers import fd_worst_rel_err_params
 
 
@@ -184,6 +184,11 @@ class TestForwardWrapper:
         with pytest.raises(CsdError, match="non-finite"):
             csdn_forward(net, rng.random((16, 16)))
 
+    def test_empty_image_rejected(self):
+        net = build_csdn(CsdnConfig(num_blocks=1, num_features=4, num_classes=4))
+        with pytest.raises(ShapeError, match="H=0"):
+            csdn_forward(net, np.zeros((0, 4)), np.ones((0, 4), int))
+
     def test_loss_examples(self, rng):
         a = rng.random((1, 1, 5, 5))
         assert csdn_loss(Tensor(a), Tensor(a.copy())).item() == 0.0
@@ -238,16 +243,41 @@ class TestSharedPlan:
                 built.append(1)
                 super().__init__(*args)
 
-        monkeypatch.setattr(csconv, "DispatchPlan", CountingPlan)
+        monkeypatch.setattr(csdn, "DispatchPlan", CountingPlan)
         shared = run()
         assert len(built) == 1
-        # without the network-level plan every layer sorts the raw map itself
-        monkeypatch.setattr(csdn, "_dispatch_plan", lambda cfg, x, classes: classes)
+        # every layer sorting the class map into a plan of its own gives the same bits
+        forward = csconv.CsConv2d.forward
+
+        def own_plan(layer, x, plan, **kw):
+            plan = CountingPlan(plan.indices, *plan.indices.shape, layer.num_classes)
+            return forward(layer, x, plan, **kw)
+
+        monkeypatch.setattr(csconv.CsConv2d, "forward", own_plan)
         per_layer = run()
         n_cs = sum(isinstance(m, csconv.CsConv2d) for m in _modules(net))
-        assert len(built) == 1 + n_cs
+        assert len(built) == 2 + n_cs
         for a, b in zip(shared, per_layer):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("arch", ["edsr", "carn"])
+    def test_plan_keeps_the_class_map(self, rng, monkeypatch, arch):
+        """``perfbench`` counts the classes present from a plan's ``indices``."""
+        from csdenoise import csconv
+
+        net = build_csdn(small_cfg(arch, m=5), seed=5)
+        classes = rng.integers(1, 6, size=(9, 10))
+        seen = []
+        forward = csconv.CsConv2d.forward
+
+        def record(layer, x, plan, **kw):
+            seen.append(plan)
+            return forward(layer, x, plan, **kw)
+
+        monkeypatch.setattr(csconv.CsConv2d, "forward", record)
+        net(Tensor(rng.random((2, 1, 9, 10))), classes)
+        assert seen and all(plan is seen[0] for plan in seen)
+        assert np.array_equal(seen[0].indices, np.broadcast_to(classes, (2, 9, 10)))
 
 
 def _modules(module):

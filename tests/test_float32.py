@@ -24,7 +24,7 @@ from csdenoise.pcn import build_pcn, pcn_class_map, pcn_forward
 from csdenoise.pipeline import TrainConfig, add_awgn, train_pcn
 
 from conftest import make_toy_images
-from helpers import cs_layer, traced_bytes
+from helpers import cs_layer, plan_for, traced_bytes
 
 
 def _pair(rng, shape):
@@ -106,8 +106,8 @@ class TestOpsFollowTheInput:
             s32, s64 = _pair(rng, (2, 4, 7, 9))
             kw32, kw64 = dict(alpha=alpha, skip=s32), dict(alpha=alpha, skip=s64)
         with no_grad():
-            _close(csconv_forward(x32, classes, bank, **kw32),
-                   csconv_forward(x64, classes, bank, **kw64))
+            _close(csconv_forward(x32, plan_for(x32, classes, bank), bank, **kw32),
+                   csconv_forward(x64, plan_for(x64, classes, bank), bank, **kw64))
 
 
 def _tamed(cfg, seed=1):
