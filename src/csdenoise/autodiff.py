@@ -62,6 +62,15 @@ def finite_float64(values: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
+def image_2d(img) -> np.ndarray:
+    """``img`` as an array, or ``ShapeError`` unless it is (H, W) with no zero extent."""
+    img = np.asarray(img)
+    if img.ndim != 2 or 0 in img.shape:
+        got = f"H={img.shape[0]}, W={img.shape[1]}" if img.ndim == 2 else img.shape
+        raise ShapeError(f"expected a non-empty (H, W) image, got {got}")
+    return img
+
+
 _SPENT = object()  # the ``_backward`` of a node whose closure ``backward()`` has run
 
 

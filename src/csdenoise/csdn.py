@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
-from .autodiff import Tensor, finite_float64, no_grad
+from .autodiff import Tensor, finite_float64, image_2d, no_grad
 from .csconv import CsConv2d, DispatchPlan
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .gradient_stats import HashConfig
 from .modules import Conv2d, Module, PReLU
 
@@ -79,13 +79,8 @@ class _ResidualBlock(Module):
         return x + self.conv2(self.act(self.conv1(x)))
 
     def flops_per_pixel(self) -> float:
-        f = self.act.channels
-        return (
-            self.conv1.flops_per_pixel()
-            + self.act.flops_per_pixel()
-            + self.conv2.flops_per_pixel()
-            + f  # skip add
-        )
+        layers = (self.conv1, self.act, self.conv2)
+        return sum(m.flops_per_pixel() for m in layers) + self.act.channels  # and the skip add
 
 
 class EdsrNet(Module):
@@ -104,8 +99,7 @@ class EdsrNet(Module):
 
     def forward(self, x: Tensor, classes=None) -> Tensor:
         plan = _dispatch_plan(self.config, x, classes)
-        y0 = self.head(x)
-        y = y0
+        y = y0 = self.head(x)
         for block in self.blocks:
             y = block(y, plan)
         return self.tail(y + y0)
@@ -136,9 +130,7 @@ class _CascadeBlock(Module):
         return out
 
     def flops_per_pixel(self) -> float:
-        return sum(b.flops_per_pixel() for b in self.blocks) + sum(
-            f.flops_per_pixel() for f in self.fusions
-        )
+        return sum(m.flops_per_pixel() for m in self.blocks + self.fusions)
 
 
 class CarnNet(Module):
@@ -185,9 +177,7 @@ def csdn_forward(net, noisy: np.ndarray, classes=None) -> np.ndarray:
 
     The network runs in float32: each layer casts its float64 weights on use,
     so weights, model files and training graphs stay float64."""
-    noisy = np.asarray(noisy)
-    if noisy.ndim != 2:
-        raise ShapeError(f"expected (H, W) image, got {noisy.shape}")
+    noisy = image_2d(noisy)
     with no_grad(), np.errstate(over="ignore", invalid="ignore"):  # checked below
         out = net.forward(Tensor(noisy[None, None].astype(np.float32)), classes)
     return finite_float64(out.data[0, 0], "denoised image")

@@ -14,10 +14,11 @@ zero-bordered buffer, its (C*K*K, rows*W) patch slab is laid out in one
 reused buffer of at most ``_SLAB_BYTES``, and one GEMM per column span,
 batched over the groups, writes the output in place; a 1x1 kernel's slab
 is the input itself, and on one channel per group its product is an outer
-product, done as a broadcast multiply with the GEMMs' bits. The input gradient correlates the output gradient
-with the flipped kernel, channels swapped within each group: a gather, with
-no scatter or padded gradient. The kernel gradient sums each span's output
-gradient times its patches. Only results are full-size.
+product, done as a broadcast multiply with the GEMMs' bits. The backward
+walks the output gradient's slab once, and no slab of the input: the input
+gradient correlates it with the flipped kernel, channels swapped within
+each group, and the kernel gradient sums the input's raster rows times each
+span's patches, its taps flipped back. Only results are full-size.
 
 No GEMM is wider than ``_GEMM_COLS`` = 384 columns, a limit CSConv shares:
 this OpenBLAS (0.3.31) gives different bits at 1 and 2 threads for most
@@ -96,23 +97,29 @@ def _slab_spans(a: np.ndarray, k: int, groups: int):
                 yield img, slice(y0 * w + lo, y0 * w + hi), src[:, :, lo:hi]
 
 
-def _correlate(a: np.ndarray, kernel: np.ndarray, groups: int, bias=None) -> np.ndarray:
+def _correlate(a: np.ndarray, kernel: np.ndarray, groups: int, bias=None, out=True, rows=None):
     """Zero-padded stride-1 correlation of (N, C, H, W) ``a`` with the
     (C_out, C/groups, K, K) ``kernel``, plus ``bias`` (1, C_out, 1, 1), in
-    ``a``'s dtype."""
+    ``a``'s dtype, or None if not ``out``; and, from the same walk, the
+    (groups, R, C/groups*K*K) sum of the (N, groups, R, H*W) raster ``rows``
+    times ``a``'s patches, or None without ``rows``."""
     n, _, h, w = a.shape
     c_out, _, k, _ = kernel.shape
     wmat = kernel.astype(a.dtype, copy=False).reshape(groups, c_out // groups, -1)
-    out = np.empty((n, c_out, h, w), a.dtype)
-    dst = out.reshape(n, groups, c_out // groups, h * w)
-    if wmat.shape[2] == 1:  # a 1x1 kernel on one channel per group: an outer product
+    res = np.empty((n, c_out, h, w), a.dtype) if out else None
+    dst = res.reshape(n, groups, c_out // groups, h * w) if out else None
+    gemm = out and wmat.shape[2] > 1
+    if out and not gemm:  # a 1x1 kernel on one channel per group: an outer product
         np.multiply(a.reshape(n, groups, 1, h * w), wmat, out=dst)
-    else:
-        for img, cols, src in _slab_spans(a, k, groups):
+    acc = None if rows is None else np.zeros((groups, rows.shape[2], wmat.shape[2]), a.dtype)
+    for img, cols, src in _slab_spans(a, k, groups) if gemm or acc is not None else ():
+        if gemm:
             np.matmul(wmat, src, out=dst[img, :, :, cols])
+        if acc is not None:
+            acc += rows[img, :, :, cols] @ src.transpose(0, 2, 1)
     if bias is not None:
-        out += bias.astype(a.dtype, copy=False)
-    return out
+        res += bias.astype(a.dtype, copy=False)
+    return res, acc
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 1) -> Tensor:
@@ -123,21 +130,22 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, groups: int = 
     if bias is not None and bias.data.shape != (1, c_out, 1, 1):
         raise ShapeError(f"bias must be (1, {c_out}, 1, 1), got {bias.shape}")
     opg = c_out // groups
-    out = _correlate(x.data, kernel.data, groups, None if bias is None else bias.data)
+    out, _ = _correlate(x.data, kernel.data, groups, None if bias is None else bias.data)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bw(grad):
+        # one walk over the output gradient's patches: the input gradient
+        # correlates them with the flipped kernel, channels swapped per group,
+        # and the kernel gradient sums the input's rows times them
+        flipped = (kernel.data.reshape(groups, opg, cpg, k, k).transpose(0, 2, 1, 3, 4)
+                   .reshape(c_in, opg, k, k)[:, :, ::-1, ::-1])
+        rows = x.data.reshape(n, groups, cpg, h * w) if kernel.requires_grad else None
+        gx, gw = _correlate(grad, flipped, groups, out=x.requires_grad, rows=rows)
         if x.requires_grad:
-            # the adjoint: correlate with the flipped kernel, channels swapped per group
-            flipped = (kernel.data.reshape(groups, opg, cpg, k, k).transpose(0, 2, 1, 3, 4)
-                       .reshape(c_in, opg, k, k)[:, :, ::-1, ::-1])
-            x._accumulate(_correlate(grad, flipped, groups))
-        if kernel.requires_grad:  # each span's output gradient times its patches, summed
-            g_rows = np.ascontiguousarray(grad).reshape(n, groups, opg, h * w)
-            gw = np.zeros((groups, opg, cpg * k * k))
-            for img, cols, src in _slab_spans(x.data, k, groups):
-                gw += g_rows[img, :, :, cols] @ src.transpose(0, 2, 1)
-            kernel._accumulate(gw.reshape(kernel.shape))
+            x._accumulate(gx)
+        if kernel.requires_grad:  # kernel[o, c, ky, kx]'s gradient is gw[c, (o, K-1-ky, K-1-kx)]
+            kernel._accumulate(gw.reshape(groups, cpg, opg, k, k)[..., ::-1, ::-1]
+                               .transpose(0, 2, 1, 3, 4).reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
 

@@ -9,14 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
-from .autodiff import Tensor, finite_float64, no_grad
+from .autodiff import Tensor, finite_float64, image_2d, no_grad
 from .errors import ConfigError, ShapeError
-from .gradient_stats import (
-    GradientStatsMap,
-    HashConfig,
-    denormalize_stats,
-    hash_classes,
-)
+from .gradient_stats import GradientStatsMap, HashConfig, denormalize_stats, hash_classes
 from .modules import Conv2d, GroupConvBlock, GroupResidualBlock, Module
 
 
@@ -125,9 +120,7 @@ def pcn_forward(net: PcnNet, noisy: np.ndarray) -> GradientStatsMap:
     image in float32 (inference classifies so), any other in float64
     (training does). The stats are float64 either way, and a non-finite
     prediction raises ``CsdError``."""
-    noisy = np.asarray(noisy)
-    if noisy.ndim != 2:
-        raise ShapeError(f"expected (H, W) image, got {noisy.shape}")
+    noisy = image_2d(noisy)
     h, w = noisy.shape
     pad_h, pad_w = (-h) % net.scale_factor, (-w) % net.scale_factor
     if pad_h or pad_w:

@@ -189,6 +189,13 @@ class TestForwardWrapper:
         with pytest.raises(ShapeError, match="H=0"):
             csdn_forward(net, np.zeros((0, 4)), np.ones((0, 4), int))
 
+    @pytest.mark.parametrize("arch", ["edsr", "carn"])
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_empty_image_rejected_by_plain_net(self, arch, shape):
+        net = build_csdn(CsdnConfig(arch=arch, num_blocks=1, num_features=4, use_csconv=False))
+        with pytest.raises(ShapeError, match="non-empty"):
+            csdn_forward(net, np.zeros(shape))
+
     def test_loss_examples(self, rng):
         a = rng.random((1, 1, 5, 5))
         assert csdn_loss(Tensor(a), Tensor(a.copy())).item() == 0.0

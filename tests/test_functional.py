@@ -177,6 +177,59 @@ class TestConv2dAgainstPerTapReference:
             assert kt.grad is None
             assert np.max(np.abs(xt.grad - ref_gx)) < 1e-12
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("hw", [_TALL_HW, _WIDE_HW])
+    @pytest.mark.parametrize("wanted", ["kernel", "input"])
+    def test_each_gradient_alone(self, rng, k, groups, hw, wanted):
+        x = rng.standard_normal((2, 4) + hw)
+        kernel = rng.standard_normal((8, 4 // groups, k, k))
+        go = rng.standard_normal((2, 8) + hw)
+        xt = Tensor(x, requires_grad=wanted == "input")
+        kt = Tensor(kernel, requires_grad=wanted == "kernel")
+        (F.conv2d(xt, kt, groups=groups) * Tensor(go)).sum().backward()
+        _, ref_gx, ref_gk, _ = _conv_reference(x, kernel, None, groups, go)
+        got, ref, unset = (kt.grad, ref_gk, xt) if wanted == "kernel" else (xt.grad, ref_gx, kt)
+        assert unset.grad is None
+        assert got.shape == ref.shape and np.max(np.abs(got - ref)) < 1e-12
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_non_contiguous_input(self, rng, x_grad):
+        # every other channel of a wider image, and a kernel the same
+        wide = rng.standard_normal((2, 8, 13, 11))
+        x = wide[:, ::2]
+        kernel = rng.standard_normal((8, 6, 3, 3))[:, ::3]
+        go = rng.standard_normal((2, 8, 13, 11))
+        assert not x.flags.c_contiguous and not kernel.flags.c_contiguous
+        xt = Tensor(x, requires_grad=x_grad)
+        kt = Tensor(kernel, requires_grad=True)
+        out = F.conv2d(xt, kt, groups=2)
+        (out * Tensor(go)).sum().backward()
+        ref_out, ref_gx, ref_gk, _ = _conv_reference(x, kernel, None, 2, go)
+        assert np.max(np.abs(out.data - ref_out)) < 1e-12
+        assert np.max(np.abs(kt.grad - ref_gk)) < 1e-12
+        if x_grad:
+            assert np.max(np.abs(xt.grad - ref_gx)) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_backward_walks_only_the_gradients_patches(self, rng, monkeypatch, k, x_grad):
+        x = Tensor(rng.standard_normal((2, 4, 9, 7)), requires_grad=x_grad)
+        kernel = Tensor(rng.standard_normal((6, 2, k, k)), requires_grad=True)
+        go = rng.standard_normal((2, 6, 9, 7))
+        loss = (F.conv2d(x, kernel, groups=2) * Tensor(go)).sum()
+        walked = []
+        spans = F._slab_spans
+
+        def counting(a, *args):
+            walked.append(np.array(a))
+            return spans(a, *args)
+
+        monkeypatch.setattr(F, "_slab_spans", counting)
+        loss.backward()
+        assert len(walked) == 1
+        assert walked[0].shape == go.shape and np.array_equal(walked[0], go)
+
     @pytest.mark.parametrize("with_bias", [False, True])
     def test_recorded_forward_keeps_no_patch_matrix(self, rng, with_bias):
         x = Tensor(rng.standard_normal((2, 16, 32, 32)))

@@ -113,6 +113,12 @@ class TestInference:
         assert cmap.indices.max() <= cfg.num_classes
 
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_image_rejected(self, shape):
+        net = build_pcn(PcnConfig(base_channels=4, num_scales=2, residual_blocks=0))
+        with pytest.raises(ShapeError, match="non-empty"):
+            pcn_class_map(net, np.zeros(shape), HashConfig())
+
 def reflect_padded_reference(net, img):
     """The net on ``img`` reflect-padded at its bottom and right edges to the
     scale factor, cropped back and denormalized."""
